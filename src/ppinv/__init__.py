@@ -1,33 +1,33 @@
 """Compositional inverses and involutions of permutation polynomials built
 from the AGW criterion, over exact GF(p^n) arithmetic.
 
-Every closed-form inverse constructed here can be certified against the
-brute-force oracle (:func:`ppinv.perm_core.brute_inverse`) over the whole
-field.
+Every inverse returned here has certified itself over the whole field
+(:func:`ppinv.perm_core.certify`) and raises
+:class:`ppinv.errors.CertificationFailed` otherwise.
 """
 
 from .errors import PPInvError
 from .gf_core import (FieldCtx, FieldSpec, MuSubgroup, build_field, ext_gcd,
-                      f_inv, f_pow, field_from_json, field_to_json,
-                      mu_subgroup, rel_trace, subfield_elements)
+                      f_inv, field_from_json, field_to_json, mu_subgroup,
+                      p_power_degree, rel_trace, subfield_elements)
 from .poly_expr import (LinearizedPoly, PolyFq, compose, eval_poly,
                         interpolate, linearized, linearized_eval,
-                        linearized_inverse, linearized_tabulate,
-                        linearized_to_poly, make_poly, parse_poly_expr,
-                        print_poly, reduce_mod_field, tabulate)
+                        linearized_inverse, linearized_tabulate, make_poly,
+                        parse_poly_expr, print_poly, reduce_mod_field,
+                        tabulate)
 from .perm_core import (AgwDiagram, CycleType, PermTable, VerificationReport,
                         agw_diagram, agw_verify, as_permutation,
-                        brute_inverse, compose_tables, cycle_structure,
-                        identity_table, is_identity)
+                        brute_inverse, certify, compose_tables,
+                        cycle_structure, identity_table, is_identity)
 from .agw_inverse import (AddFamily, GenericDiagram, HybridScaleFamily,
-                          MulClosedForm, MulFamily, PhiMap, TranslatorFamily,
-                          add_family, build_phi_add, build_phi_mul,
-                          closed_form_mul, family_from_descriptor,
-                          generic_inverse, hybrid_family, invert_additive,
-                          invert_hybrid_scale, invert_multiplicative,
-                          invert_niu, invert_translator,
-                          invert_translator_linear, mul_family, niu_forward,
-                          translator_family)
+                          MulClosedForm, MulFamily, NiuFamily, PhiMap,
+                          TranslatorFamily, add_family, build_phi_add,
+                          build_phi_mul, closed_form_mul,
+                          family_from_descriptor, generic_inverse,
+                          hybrid_family, invert_additive, invert_hybrid_scale,
+                          invert_multiplicative, invert_niu,
+                          invert_translator, invert_translator_linear,
+                          mul_family, niu_forward, translator_family)
 from .involution_lab import (CriterionReport, check_add_involution,
                              check_hybrid_involution, check_mul_involution,
                              check_translator_involution, make_kuozhan,

@@ -4,7 +4,8 @@ closed forms specialize.
 
 Each family constructor validates its hypotheses exhaustively and freezes a
 record holding the forward map and the induced small-set map g; the
-``invert_*`` operations return the inverse as a :class:`PermTable`.  The
+``invert_*`` operations return the inverse as a :class:`PermTable`, certified
+against the forward table by :func:`ppinv.perm_core.certify`.  The
 small-set inverse g^{-1} is found by brute force over the small set, which
 is the whole point of the reduction.
 """
@@ -13,15 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
                      NotInjectivePhi, NotInSubfield, NotPermutation,
                      NotTranslator, SquareDoesNotCommute)
 from .gf_core import (FieldCtx, MuSubgroup, ext_gcd, field_from_json,
-                      mu_subgroup)
-from .perm_core import MapLike, PermTable, _materialize, brute_inverse
+                      mu_subgroup, p_power_degree)
+from .perm_core import MapLike, PermTable, _materialize, brute_inverse, certify
 from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
                         tabulate)
 
@@ -95,7 +96,7 @@ def invert_multiplicative(fam: MulFamily) -> PermTable:
         y = fam.g_inv[ctx.pow(x, fam.s)]
         images[x] = ctx.mul(ctx.mul(ctx.pow(y, fam.a), ctx.pow(x, fam.b)),
                             ctx.pow(fam.h_on_mu[y], -fam.b))
-    return PermTable(ctx, tuple(images))
+    return certify(fam.f_table, PermTable(ctx, tuple(images)))
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,8 @@ def closed_form_mul(fam: MulFamily, n_exp: int, t: int) -> MulClosedForm:
         w = ctx.pow(x, inner)  # (x^(st))^ell = x^(t(q-1)) = 1, so w is a root of unity
         images[x] = ctx.mul(ctx.pow(x, x_exp),
                             ctx.pow(fam.h_on_mu[w], -fam.b))
-    reference = invert_multiplicative(fam)
-    assert tuple(images) == reference.images
-    return MulClosedForm(fam.a, fam.b, t, n_exp, x_exp, inner, -fam.b,
-                         PermTable(ctx, tuple(images)))
+    table = certify(fam.f_table, PermTable(ctx, tuple(images)))
+    return MulClosedForm(fam.a, fam.b, t, n_exp, x_exp, inner, -fam.b, table)
 
 
 # additive family: f(x) = g(x) + g0(lambda(x))
@@ -195,7 +194,7 @@ def invert_additive(fam: AddFamily) -> PermTable:
     for x in ctx.elements():
         s = g_inv[fam.lam_bar[x]]
         images.append(g_inv[ctx.sub(x, fam.g0[s])])
-    return PermTable(ctx, tuple(images))
+    return certify(fam.f_table, PermTable(ctx, tuple(images)))
 
 
 # hybrid scaling family: f(x) = x * h(lambda(x))
@@ -272,7 +271,7 @@ def invert_hybrid_scale(fam: HybridScaleFamily) -> PermTable:
         y = fam.g_inv[fam.lam[x]]
         num = ctx.add(ctx.sub(x, fam.lam[x]), ctx.mul(fam.theta[y], y))
         images.append(ctx.div(num, fam.h_on_L[y]))
-    return PermTable(ctx, tuple(images))
+    return certify(fam.f_table, PermTable(ctx, tuple(images)))
 
 
 # translator family: f(x) = x + gamma * G(lambda(x))
@@ -317,7 +316,6 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
                     f"lambda(x + u*gamma) != lambda(x) + u*b at "
                     f"(x, u) = ({x}, {u})", witness=(x, u))
     g_map = {y: ctx.add(y, ctx.mul(b, G_on_S[y])) for y in S}
-    assert all(v in S_set for v in g_map.values())  # forced by translator law
     try:
         g_inv = _small_inverse(g_map, "g on S")
     except NotPermutation:
@@ -339,12 +337,12 @@ def invert_translator(fam: TranslatorFamily) -> PermTable:
         y = fam.g_inv[fam.lam[x]]
         val = ctx.add(ctx.mul(coeff, fam.G_on_S[y]), y)
         images.append(ctx.add(val, ctx.sub(x, fam.lam[x])))
-    return PermTable(ctx, tuple(images))
+    return certify(fam.f_table, PermTable(ctx, tuple(images)))
 
 
 def invert_translator_linear(fam: TranslatorFamily) -> PermTable:
     """Specialization for G = identity: f^{-1}(x) = x - gamma/(b+1) lam(x),
-    requiring b != -1; agrees with :func:`invert_translator` exactly."""
+    requiring b != -1."""
     ctx = fam.ctx
     if any(fam.G_on_S[y] != y for y in fam.S):
         raise ValueError("family G is not the identity on S")
@@ -355,8 +353,7 @@ def invert_translator_linear(fam: TranslatorFamily) -> PermTable:
     coeff = ctx.neg(ctx.div(fam.gamma, b1))
     images = tuple(ctx.add(x, ctx.mul(coeff, fam.lam[x]))
                    for x in ctx.elements())
-    assert images == invert_translator(fam).images
-    return PermTable(ctx, images)
+    return certify(fam.f_table, PermTable(ctx, images))
 
 
 # generic pipeline: f^{-1} = phi^{-1} o psi^{-1} o phi_bar
@@ -437,31 +434,27 @@ def generic_inverse(d: GenericDiagram, f: PermTable) -> PermTable:
     for x in ctx.elements():
         alpha, beta = d.phi_bar.first[x], d.phi_bar.second[x]
         images.append(d.phi.inverse(d.g_inv[alpha], d.M(alpha, beta)))
-    out = PermTable(ctx, tuple(images))
-    assert all(out[f[x]] == x for x in ctx.elements())
-    return out
+    return certify(f.images, PermTable(ctx, tuple(images)))
 
 
 # the difference-plus-scaling class f(x) = g(x^{q^i} - x + delta) + c x
 
-def _subfield_degree(ctx: FieldCtx, q: int) -> int:
-    """The e with q = p^e, requiring e | n; identifies a subfield tower."""
-    p = ctx.p
-    e = 0
-    b = q
-    while b > 1 and b % p == 0:
-        b //= p
-        e += 1
-    if b != 1 or e == 0 or ctx.n % e != 0:
-        raise ValueError(
-            f"q = {q} is not a power of p = {p} with degree dividing {ctx.n}")
-    return e
+class NiuFamily(NamedTuple):
+    """Parameters of f(x) = g(x^{q^i} - x + delta) + c*x, in the argument
+    order of :func:`niu_forward` and :func:`invert_niu`."""
+
+    ctx: FieldCtx
+    q: int
+    g: PolyFq
+    i: int
+    c: int
+    delta: int
 
 
 def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
                 delta: int) -> tuple:
     """Forward table of f(x) = g(x^{q^i} - x + delta) + c*x."""
-    e = _subfield_degree(ctx, q)
+    e = p_power_degree(ctx, q)
     return tuple(
         ctx.add(eval_poly(g, ctx.add(ctx.sub(ctx.frob(x, e * i), x), delta)),
                 ctx.mul(c, x))
@@ -478,7 +471,7 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
     where w = x^{q^i} - x + delta and H is the (brute-forced) inverse of
     h(x) = g(x)^{q^i} - g(x) + c*x + (1-c)*delta.
     """
-    e = _subfield_degree(ctx, q)
+    e = p_power_degree(ctx, q)
     m = ctx.n // e
     if not 1 <= i <= m - 1:
         raise ValueError(f"i must satisfy 1 <= i <= m-1 = {m - 1}")
@@ -509,10 +502,8 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
         t1 = ctx.mul(c_inv, ctx.frob(x, e * i))
         t2 = ctx.mul(c_inv, ctx.frob(eval_poly(g, Hw), e * i))
         images.append(ctx.add(ctx.sub(ctx.sub(t1, t2), Hw), delta))
-    out = PermTable(ctx, tuple(images))
-    f = niu_forward(ctx, q, g, i, c, delta)
-    assert all(out[f[x]] == x for x in ctx.elements())
-    return out
+    return certify(niu_forward(ctx, q, g, i, c, delta),
+                   PermTable(ctx, tuple(images)))
 
 
 # family descriptor files
@@ -529,12 +520,20 @@ def _map_param(ctx: FieldCtx, value) -> list:
     return _materialize(ctx, list(value))
 
 
+def _element(ctx: FieldCtx, value, name: str) -> int:
+    v = int(value)
+    if not 0 <= v < ctx.q:
+        raise ValueError(f"{name} = {v} is out of range for q = {ctx.q}")
+    return v
+
+
 def family_from_descriptor(doc: dict):
     """Build a family from a JSON descriptor document
     ``{"family": ..., "field": {...}, parameters by name}``; polynomials are
-    grammar strings (or value tables), maps are tables.  Returns
-    ``(kind, family)`` where ``kind`` is the descriptor's family string; the
-    "niu" kind returns the parameter tuple ``(ctx, q, g, i, c, delta)``.
+    grammar strings (or value tables), maps are tables, and scalars that
+    denote field elements must lie in [0, q).  Returns ``(kind, family)``
+    where ``kind`` is the descriptor's family string; the "niu" kind returns
+    a :class:`NiuFamily`.
     """
     kind = doc["family"]
     ctx = field_from_json(doc["field"])
@@ -550,20 +549,24 @@ def family_from_descriptor(doc: dict):
             g0_poly = parse_poly_expr(g0_doc, ctx)
             g0 = {s: eval_poly(g0_poly, s) for s in set(lam)}
         else:
-            g0 = {int(k): int(v) for k, v in g0_doc.items()}
+            g0 = {_element(ctx, k, "g0 key"): _element(ctx, v, "g0 value")
+                  for k, v in g0_doc.items()}
         return kind, add_family(ctx, g, g0, lam, lam_bar)
     if kind == "hybrid":
         h = _poly_param(ctx, doc["h"])
         k = _poly_param(ctx, doc["k"])
         lam = _map_param(ctx, doc["lambda"])
-        return kind, hybrid_family(ctx, h, k, lam, [int(s) for s in doc["S"]])
+        S = [_element(ctx, s, "S member") for s in doc["S"]]
+        return kind, hybrid_family(ctx, h, k, lam, S)
     if kind == "translator":
         lam = _map_param(ctx, doc["lambda"])
         G = _poly_param(ctx, doc["G"])
-        return kind, translator_family(ctx, lam, int(doc["gamma"]),
-                                       int(doc["b"]), G)
+        return kind, translator_family(ctx, lam,
+                                       _element(ctx, doc["gamma"], "gamma"),
+                                       _element(ctx, doc["b"], "b"), G)
     if kind == "niu":
         g = _poly_param(ctx, doc["g"])
-        return kind, (ctx, int(doc["q"]), g, int(doc["i"]), int(doc["c"]),
-                      int(doc["delta"]))
+        return kind, NiuFamily(ctx, int(doc["q"]), g, int(doc["i"]),
+                               _element(ctx, doc["c"], "c"),
+                               _element(ctx, doc["delta"], "delta"))
     raise ValueError(f"unknown family kind {kind!r}")

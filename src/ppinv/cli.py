@@ -17,13 +17,12 @@ import sys
 from .errors import NotBijective, PPInvError, PolySyntaxError
 from .agw_inverse import (family_from_descriptor, invert_additive,
                           invert_hybrid_scale, invert_multiplicative,
-                          invert_niu, invert_translator, mul_family,
-                          niu_forward)
+                          invert_niu, invert_translator, mul_family)
 from .gf_core import build_field, field_from_json, field_to_json
 from .involution_lab import (check_add_involution, check_hybrid_involution,
                              check_mul_involution,
                              check_translator_involution)
-from .perm_core import PermTable, agw_diagram, agw_verify, as_permutation
+from .perm_core import agw_diagram, agw_verify, as_permutation
 from .poly_expr import interpolate, make_poly, parse_poly_expr, print_poly
 
 
@@ -70,11 +69,6 @@ def _emit(payload: dict, fmt: str):
             print(f"{key}: {value}")
 
 
-def _certify(ctx, f_table, inv: PermTable) -> bool:
-    return (all(inv[f_table[x]] == x for x in ctx.elements())
-            and all(f_table[inv[x]] == x for x in ctx.elements()))
-
-
 def _load_family(args):
     """Resolve a family from --file, or from inline mul flags."""
     if args.file:
@@ -113,39 +107,27 @@ def _cmd_check_pp(args) -> tuple:
     return 0, {"is_permutation": True}
 
 
+# The dispatch tables below are built at call time, so they pick up the
+# module's current bindings (which tracing tools may have replaced).
+
 def _cmd_invert(args) -> tuple:
     kind, fam = _load_family(args)
-    if kind == "mul":
-        inv = invert_multiplicative(fam)
-        f_table, ctx = fam.f_table, fam.ctx
-    elif kind == "add":
-        inv = invert_additive(fam)
-        f_table, ctx = fam.f_table, fam.ctx
-    elif kind == "hybrid":
-        inv = invert_hybrid_scale(fam)
-        f_table, ctx = fam.f_table, fam.ctx
-    elif kind == "translator":
-        inv = invert_translator(fam)
-        f_table, ctx = fam.f_table, fam.ctx
-    else:  # niu parameter tuple
-        ctx, q, g, i, c, delta = fam
-        inv = invert_niu(ctx, q, g, i, c, delta)
-        f_table = niu_forward(ctx, q, g, i, c, delta)
-    poly = print_poly(interpolate(ctx, list(inv.images)))
-    return 0, {"table": list(inv.images), "poly": poly,
-               "certified": _certify(ctx, f_table, inv)}
-
-
-_CHECKS = {"mul": check_mul_involution, "add": check_add_involution,
-           "hybrid": check_hybrid_involution,
-           "translator": check_translator_involution}
+    invert = {"mul": invert_multiplicative, "add": invert_additive,
+              "hybrid": invert_hybrid_scale, "translator": invert_translator,
+              "niu": lambda niu: invert_niu(*niu)}[kind]
+    inv = invert(fam)  # raises CertificationFailed unless inv o f = id
+    poly = print_poly(interpolate(fam.ctx, list(inv.images)))
+    return 0, {"table": list(inv.images), "poly": poly, "certified": True}
 
 
 def _cmd_involution(args) -> tuple:
     kind, fam = _load_family(args)
-    if kind not in _CHECKS:
+    checks = {"mul": check_mul_involution, "add": check_add_involution,
+              "hybrid": check_hybrid_involution,
+              "translator": check_translator_involution}
+    if kind not in checks:
         raise _UsageError(f"no involution criterion for family {kind!r}")
-    return 0, _CHECKS[kind](fam).to_json()
+    return 0, checks[kind](fam).to_json()
 
 
 def _cmd_agw_verify(args) -> tuple:
@@ -272,13 +254,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except _UsageError as exc:
-        print(f"ppinv: {exc}", file=sys.stderr)
-        return 2
-    except PolySyntaxError as exc:
-        print(f"ppinv: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (_UsageError, PolySyntaxError, FileNotFoundError) as exc:
         print(f"ppinv: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -122,6 +122,11 @@ class GammaZero(PPInvError):
     pass
 
 
+class CertificationFailed(PPInvError):
+    """A computed answer failed its exhaustive self-check; ``witness`` is
+    the first element where it fails."""
+
+
 # involution constructors
 
 class BadK(PPInvError):

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotCoprime, NotDivisor, NotPrime, Reducible, TooLarge
+from .errors import (CertificationFailed, NotCoprime, NotDivisor, NotPrime,
+                     Reducible, TooLarge)
 
 # Brute-force scans refuse fields above this bound unless overridden.
 DEFAULT_ENUM_BOUND = 1 << 20
@@ -322,12 +323,17 @@ def f_inv(ctx: FieldCtx, x: int) -> int:
     return ctx.inv(x)
 
 
-def f_pow(ctx: FieldCtx, x: int, e: int) -> int:
-    """x^e (e may be negative; exponents act mod q-1 on nonzero x).
-
-    For x = 0 the result is 0 when e != 0 and 1 when e = 0.
-    """
-    return ctx.pow(x, e)
+def p_power_degree(ctx: FieldCtx, base: int) -> int:
+    """The e >= 1 with base = p^e, requiring e | n: the degree of the
+    subfield GF(base) of GF(p^n)."""
+    e, b = 0, base
+    while b > 1 and b % ctx.p == 0:
+        b //= ctx.p
+        e += 1
+    if b != 1 or e == 0 or ctx.n % e != 0:
+        raise ValueError(f"{base} is not a power of p = {ctx.p} with degree "
+                         f"dividing n = {ctx.n}")
+    return e
 
 
 def rel_trace(ctx: FieldCtx, d: int, x: int) -> int:
@@ -340,7 +346,8 @@ def rel_trace(ctx: FieldCtx, d: int, x: int) -> int:
     for _ in range(ctx.n // d):
         acc = ctx.add(acc, cur)
         cur = ctx.frob(cur, d)
-    assert ctx.frob(acc, d) == acc  # result lies in the subfield
+    if ctx.frob(acc, d) != acc:
+        raise CertificationFailed(f"trace of {x} left the subfield", witness=x)
     return acc
 
 
@@ -349,7 +356,9 @@ def mu_subgroup(ctx: FieldCtx, ell: int) -> MuSubgroup:
     if ell < 1 or (ctx.q - 1) % ell != 0:
         raise NotDivisor(f"ell = {ell} does not divide q - 1 = {ctx.q - 1}")
     elements = tuple(x for x in ctx.units() if ctx.pow(x, ell) == 1)
-    assert len(elements) == ell
+    if len(elements) != ell:
+        raise CertificationFailed(f"found {len(elements)} roots of unity, "
+                                  f"expected {ell}")
     return MuSubgroup(ell, elements)
 
 

@@ -9,12 +9,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import (BadK, ConditionFail, GammaZero, NotInSubfield,
-                     NotTranslator, OddChar, OddN, TraceNonzero)
+from .errors import (BadK, CertificationFailed, ConditionFail, GammaZero,
+                     NotInSubfield, NotTranslator, OddChar, OddN, TraceNonzero)
 from .agw_inverse import (AddFamily, HybridScaleFamily, MulFamily,
-                          TranslatorFamily, _small_inverse, _subfield_degree,
-                          add_family, mul_family, translator_family)
-from .gf_core import FieldCtx, rel_trace, subfield_elements
+                          TranslatorFamily, _small_inverse, add_family,
+                          mul_family, translator_family)
+from .gf_core import FieldCtx, p_power_degree, rel_trace, subfield_elements
 from .poly_expr import PolyFq, eval_poly, make_poly
 
 
@@ -170,6 +170,15 @@ def _intermediate_trace(ctx: FieldCtx, x: int, e: int) -> int:
     return acc
 
 
+def _certified_involution(fam, report: CriterionReport):
+    """Return a constructed family once its criterion and the oracle both
+    say it is an involution."""
+    if not (report.is_involution and report.oracle_agrees):
+        raise CertificationFailed("the constructed family is not an "
+                                  "involution", witness=report.witness)
+    return fam
+
+
 def make_kuozhan(ctx: FieldCtx, q: int, k: int, gamma: int,
                  beta: int) -> MulFamily:
     """Involution family on GF(q^2), q even: f = x^(q^2-2) h(x^(q-1)) with
@@ -177,7 +186,7 @@ def make_kuozhan(ctx: FieldCtx, q: int, k: int, gamma: int,
     gamma and beta in GF(q)^* and beta of absolute trace zero."""
     if ctx.p != 2:
         raise OddChar(f"characteristic must be 2, got p = {ctx.p}")
-    e = _subfield_degree(ctx, q)
+    e = p_power_degree(ctx, q)
     if ctx.n != 2 * e:
         raise ValueError(f"context must be GF(q^2) = GF({q * q})")
     if not isinstance(k, int) or k < 1 or math.gcd(k, q + 1) != 1:
@@ -195,9 +204,7 @@ def make_kuozhan(ctx: FieldCtx, q: int, k: int, gamma: int,
     for exponent, c in ((Q - 2, gamma), (Q - 2 - k, gb), (k - 1, gb)):
         coeffs[exponent] = ctx.add(coeffs[exponent], c)
     fam = mul_family(ctx, Q - 2, q - 1, make_poly(ctx, coeffs))
-    report = check_mul_involution(fam)
-    assert report.is_involution and report.oracle_agrees
-    return fam
+    return _certified_involution(fam, check_mul_involution(fam))
 
 
 def make_trace_gadget(ctx: FieldCtx, q: int, g0: PolyFq) -> AddFamily:
@@ -206,7 +213,7 @@ def make_trace_gadget(ctx: FieldCtx, q: int, g0: PolyFq) -> AddFamily:
     itself."""
     if ctx.p != 2:
         raise OddChar(f"characteristic must be 2, got p = {ctx.p}")
-    e = _subfield_degree(ctx, q)
+    e = p_power_degree(ctx, q)
     if (ctx.n // e) % 2 != 0:
         raise OddN(f"extension degree n = {ctx.n // e} over GF({q}) "
                    "must be even")
@@ -222,9 +229,7 @@ def make_trace_gadget(ctx: FieldCtx, q: int, g0: PolyFq) -> AddFamily:
     lam = [rel_trace(ctx, e, x) for x in ctx.elements()]
     identity = list(ctx.elements())
     fam = add_family(ctx, identity, g0_map, lam, lam)
-    report = check_add_involution(fam)
-    assert report.is_involution and report.oracle_agrees
-    return fam
+    return _certified_involution(fam, check_add_involution(fam))
 
 
 def make_zero_translator(ctx: FieldCtx, q: int, beta_coeffs, G: PolyFq,
@@ -240,7 +245,7 @@ def make_zero_translator(ctx: FieldCtx, q: int, beta_coeffs, G: PolyFq,
     """
     if ctx.p != 2:
         raise OddChar(f"characteristic must be 2, got p = {ctx.p}")
-    e = _subfield_degree(ctx, q)
+    e = p_power_degree(ctx, q)
     n = ctx.n // e
     if n < 2:
         raise ValueError("extension degree over GF(q) must be at least 2")
@@ -283,6 +288,4 @@ def make_zero_translator(ctx: FieldCtx, q: int, beta_coeffs, G: PolyFq,
             raise ConditionFail(
                 f"G does not map GF({q}) into itself at {s}", witness=s)
     fam = translator_family(ctx, lam, gamma, 0, G)
-    report = check_translator_involution(fam)
-    assert report.is_involution and report.oracle_agrees
-    return fam
+    return _certified_involution(fam, check_translator_involution(fam))

@@ -2,7 +2,8 @@
 executable AGW-criterion verifier.
 
 The brute-force operations here are the oracle every closed-form inverse in
-the package is certified against.
+the package is certified against; :func:`certify` is the one check every
+inverter runs on its answer.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import CtxMismatch, NotBijective, SizeMismatch
+from .errors import (CertificationFailed, CtxMismatch, NotBijective,
+                     SizeMismatch)
 from .gf_core import FieldCtx
 from .poly_expr import PolyFq, tabulate
 
@@ -95,6 +97,23 @@ def brute_inverse(t: PermTable) -> PermTable:
     for i, y in enumerate(t.images):
         inv[y] = i
     return PermTable(t.ctx, tuple(inv))
+
+
+def certify(f_table: Sequence[int], inv: PermTable) -> PermTable:
+    """Return ``inv`` once inv[f[x]] = x holds for every x.  On length-q
+    tables this one direction forces f to be injective, so ``inv`` is the
+    two-sided inverse.  Raises :class:`CertificationFailed` with the first
+    failing x as witness."""
+    if len(f_table) != len(inv):
+        raise CertificationFailed(
+            f"f has {len(f_table)} entries, the inverse {len(inv)}")
+    images = inv.images
+    for x, y in enumerate(f_table):
+        if images[y] != x:
+            raise CertificationFailed(
+                f"inverse fails at x = {x}: f(x) = {y} maps back to "
+                f"{images[y]}", witness=x)
+    return inv
 
 
 def compose_tables(outer: PermTable, inner: PermTable) -> PermTable:

@@ -12,8 +12,8 @@ Expression grammar (whitespace insignificant)::
 
 Integer constants denote elements by packed index; a negative constant is
 the additive inverse of its absolute value.  A negative exponent ``-k`` is
-sugar for the exponent ``(q-1-(k mod (q-1))) mod (q-1)``, which bakes the
-0^-1 = 0 convention into the resulting polynomial.
+sugar for the exponent in ``[1, q-1]`` congruent to ``-k`` mod ``q-1``,
+which bakes the 0^-k = 0 convention into the resulting polynomial.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import (BadTraceDegree, ConstantOutOfRange, CtxMismatch,
-                     LengthMismatch, PolySyntaxError, Singular)
-from .gf_core import FieldCtx
+from .errors import (BadTraceDegree, CertificationFailed, ConstantOutOfRange,
+                     CtxMismatch, LengthMismatch, PolySyntaxError, Singular)
+from .gf_core import FieldCtx, p_power_degree
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def _ast_to_poly(node: ExprAst, ctx: FieldCtx) -> PolyFq:
     if isinstance(node, PowNode):
         e = node.exponent
         if e < 0:
-            e = (q - 1 - ((-e) % (q - 1))) % (q - 1)
+            e = e % (q - 1) or q - 1
         if isinstance(node.base, Var):
             return monomial(ctx, _fold_exponent(e, q)) if e else constant(ctx, 1)
         return poly_pow(_ast_to_poly(node.base, ctx), e)
@@ -440,27 +440,9 @@ class LinearizedPoly:
     base: int
     coeffs: tuple
 
-    @property
-    def base_degree(self) -> int:
-        """d with q0 = p^d."""
-        d = 0
-        b = self.base
-        while b > 1:
-            b //= self.ctx.p
-            d += 1
-        return d
-
 
 def linearized(ctx: FieldCtx, base: int, coeffs: Sequence[int]) -> LinearizedPoly:
-    p, n = ctx.p, ctx.n
-    d = 0
-    b = base
-    while b > 1 and b % p == 0:
-        b //= p
-        d += 1
-    if b != 1 or d == 0 or n % d != 0:
-        raise ValueError(f"base {base} is not a power of p = {p} whose degree divides n = {n}")
-    m = n // d
+    m = ctx.n // p_power_degree(ctx, base)
     cs = list(coeffs)
     if len(cs) > m:
         raise ValueError(f"at most {m} coefficients allowed over base {base}")
@@ -473,7 +455,7 @@ def linearized(ctx: FieldCtx, base: int, coeffs: Sequence[int]) -> LinearizedPol
 
 def linearized_eval(L: LinearizedPoly, x: int) -> int:
     ctx = L.ctx
-    d = L.base_degree
+    d = p_power_degree(ctx, L.base)
     acc = 0
     cur = x
     for c in L.coeffs:
@@ -481,15 +463,6 @@ def linearized_eval(L: LinearizedPoly, x: int) -> int:
             acc = ctx.add(acc, ctx.mul(c, cur))
         cur = ctx.frob(cur, d)
     return acc
-
-
-def linearized_to_poly(L: LinearizedPoly) -> PolyFq:
-    ctx = L.ctx
-    acc = zero(ctx)
-    for i, c in enumerate(L.coeffs):
-        if c:
-            acc = poly_add(acc, monomial(ctx, L.base ** i, c))
-    return reduce_mod_field(acc)
 
 
 def linearized_tabulate(L: LinearizedPoly) -> list:
@@ -521,7 +494,7 @@ def linearized_inverse(L: LinearizedPoly) -> LinearizedPoly:
     Moore-matrix linear system over the big field."""
     ctx = L.ctx
     p, n = ctx.p, ctx.n
-    d = L.base_degree
+    d = p_power_degree(ctx, L.base)
     m = n // d
     basis = [p ** j for j in range(n)]  # packed single-digit elements
     # matrix of L on digit vectors, columns = images of basis elements
@@ -546,8 +519,10 @@ def linearized_inverse(L: LinearizedPoly) -> LinearizedPoly:
         rows.append(row)
     sol = _field_solve(ctx, rows, m)
     out = linearized(ctx, L.base, sol)
-    for j, e in enumerate(basis):  # defensive: system must be consistent
-        assert linearized_eval(out, e) == w[j]
+    for j, e in enumerate(basis):
+        if linearized_eval(out, e) != w[j]:
+            raise CertificationFailed(
+                f"inverse misses the image of basis element {e}", witness=e)
     return out
 
 
@@ -558,7 +533,8 @@ def _field_solve(ctx: FieldCtx, rows: list, m: int) -> list:
     pivots = []
     for col in range(m):
         piv = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
-        assert piv is not None, "Moore system lost rank"
+        if piv is None:
+            raise CertificationFailed("Moore system lost rank")
         k = len(pivots)
         rows[k], rows[piv] = rows[piv], rows[k]
         inv = ctx.inv(rows[k][col])
@@ -570,5 +546,6 @@ def _field_solve(ctx: FieldCtx, rows: list, m: int) -> list:
                            for u, v in zip(rows[r], rows[k])]
         pivots.append(col)
     for r in range(m, len(rows)):  # leftover rows must have vanished
-        assert all(v == 0 for v in rows[r])
+        if any(rows[r]):
+            raise CertificationFailed("Moore system is inconsistent")
     return [rows[i][m] for i in range(m)]

@@ -2,7 +2,10 @@
 difference-plus-scaling class; every inverse is checked against the
 brute-force oracle."""
 
+import dataclasses
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,8 +18,9 @@ from ppinv import (GenericDiagram, PhiMap, add_family, as_permutation,
                    linearized_inverse, linearized_tabulate, make_poly,
                    mul_family, niu_forward, parse_poly_expr, rel_trace,
                    translator_family)
-from ppinv.errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
-                          HVanishesOnImage, LambdaZero, NotCoprime,
+from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
+                          GammaZero, HVanishes, HVanishesOnImage, LambdaZero,
+                          NotCoprime,
                           NotDivisor, NotInjectivePhi, NotInSubfield,
                           NotPermutation, NotTranslator, SquareDoesNotCommute)
 
@@ -670,3 +674,78 @@ class TestNeutralParameters:
         fam_t = translator_family(ctx, lam, 1, lam[1],
                                   parse_poly_expr("0", ctx))
         assert invert_translator(fam_t).images == tuple(range(16))
+
+
+def _tampered(fam):
+    """fam with f(0) and f(1) swapped: an inverse computed from the other
+    parameters then fails at x = 0."""
+    f = list(fam.f_table)
+    f[0], f[1] = f[1], f[0]
+    return dataclasses.replace(fam, f_table=tuple(f))
+
+
+_CERT_DOCS = {
+    "mul": {"family": "mul", "field": {"p": 7}, "r": 1, "s": 3, "h": "x^2"},
+    "add": {"family": "add", "field": {"p": 2, "n": 2}, "g": "x",
+            "lambda": "Tr{1}(x)", "g0": "x"},
+    "hybrid": {"family": "hybrid", "field": {"p": 3, "n": 2},
+               "h": "x^2 + 1", "k": "x^2", "lambda": "x^4", "S": [0, 1, 2]},
+    "translator": {"family": "translator", "field": {"p": 3, "n": 2},
+                   "lambda": "Tr{1}(x)", "gamma": 2, "b": 1, "G": "x"},
+}
+
+
+class TestCertification:
+    """Every inverter certifies its answer against the forward table."""
+
+    @pytest.mark.parametrize("kind,invert", [
+        ("mul", invert_multiplicative),
+        ("mul", lambda fam: closed_form_mul(fam, 6, 1).table),
+        ("add", invert_additive),
+        ("hybrid", invert_hybrid_scale),
+        ("translator", invert_translator),
+        ("translator", invert_translator_linear),
+    ])
+    def test_tampered_forward_table_is_caught(self, kind, invert):
+        _, fam = family_from_descriptor(_CERT_DOCS[kind])
+        assert is_inverse_pair(fam.ctx, fam.f_table, invert(fam))
+        with pytest.raises(CertificationFailed) as err:
+            invert(_tampered(fam))
+        assert err.value.witness == 0
+
+    def test_tampered_niu_forward_is_caught(self, monkeypatch):
+        import ppinv.agw_inverse as agw
+        real = agw.niu_forward
+
+        def swapped(*args):
+            f = list(real(*args))
+            f[0], f[1] = f[1], f[0]
+            return tuple(f)
+
+        monkeypatch.setattr(agw, "niu_forward", swapped)
+        ctx = field_of(9)
+        with pytest.raises(CertificationFailed) as err:
+            invert_niu(ctx, 3, parse_poly_expr("x", ctx), 1, 1, 0)
+        assert err.value.witness == 0
+
+    def test_check_survives_optimized_mode(self):
+        # python -O strips assert statements; certification must remain
+        script = "\n".join([
+            "import dataclasses",
+            "from ppinv import build_field, invert_multiplicative, "
+            "mul_family, parse_poly_expr",
+            "from ppinv.errors import CertificationFailed",
+            "F = build_field(7)",
+            "fam = mul_family(F, 1, 3, parse_poly_expr('3', F))",
+            "f = list(fam.f_table)",
+            "f[0], f[1] = f[1], f[0]",
+            "try:",
+            "    invert_multiplicative("
+            "dataclasses.replace(fam, f_table=tuple(f)))",
+            "except CertificationFailed as exc:",
+            "    print('caught', exc.witness)",
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "caught 0\n"

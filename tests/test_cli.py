@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from ppinv import cli
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -95,6 +97,10 @@ class TestFieldAndInterpolate:
                                 "--expr", poly)
         assert code == 0
         assert json.loads(out3) == {"is_permutation": True}
+
+    def test_inverse_of_x_over_f2_is_a_permutation(self):
+        code, out, _ = run_cli("check-pp", "--p", "2", "--expr", "x^-1")
+        assert code == 0 and json.loads(out) == {"is_permutation": True}
 
 
 class TestDescriptorFiles:
@@ -184,6 +190,60 @@ class TestErrorsAndExitCodes:
     def test_not_prime_rejection(self):
         code, out, _ = run_cli("field", "--p", "6")
         assert code == 1 and json.loads(out)["error"] == "NotPrime"
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "translator", "field": {"p": 3, "n": 2},
+         "lambda": "Tr{1}(x)", "gamma": -1, "b": 1, "G": "x"},
+        {"family": "translator", "field": {"p": 3, "n": 2},
+         "lambda": "Tr{1}(x)", "gamma": 99, "b": 1, "G": "x"},
+        {"family": "translator", "field": {"p": 3, "n": 2},
+         "lambda": "Tr{1}(x)", "gamma": 2, "b": 9, "G": "x"},
+        {"family": "niu", "field": {"p": 3, "n": 2},
+         "q": 3, "g": "x", "i": 1, "c": 1, "delta": 50},
+        {"family": "niu", "field": {"p": 3, "n": 2},
+         "q": 3, "g": "x", "i": 1, "c": -2, "delta": 0},
+        {"family": "hybrid", "field": {"p": 3, "n": 2},
+         "h": "x^2 + 1", "k": "x^2", "lambda": "x^4", "S": [0, 1, 2, 77]},
+        {"family": "add", "field": {"p": 2, "n": 2}, "g": "x",
+         "lambda": "Tr{1}(x)", "g0": {"0": 0, "1": 4}},
+        {"family": "add", "field": {"p": 2, "n": 2}, "g": "x",
+         "lambda": "Tr{1}(x)", "g0": {"0": 0, "1": 0, "-1": 0}},
+    ])
+    def test_out_of_range_descriptor_scalar_exit_2(self, tmp_path, capsys,
+                                                   doc):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["invert", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "out of range" in err
+        assert "Traceback" not in err
+
+
+class TestDispatch:
+    def test_handlers_resolve_functions_at_call_time(self, monkeypatch,
+                                                     capsys):
+        # tracers wrap the module attributes after import; the subcommands
+        # must call whatever those attributes hold when they run
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(fam):
+                calls.append(name)
+                return real(fam)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        spy("invert_multiplicative")
+        spy("check_mul_involution")
+        assert cli.run(["invert", "--family", "mul", "--p", "7", "--r", "1",
+                        "--s", "3", "--h", "3"]) == 0
+        assert cli.run(["involution", "--family", "mul", "--file",
+                        str(GOLDEN / "kuozhan_q4.json")]) == 0
+        assert calls == ["invert_multiplicative", "check_mul_involution"]
+        assert capsys.readouterr().out.splitlines() == [
+            (GOLDEN / "invert_mul_f7.json").read_text().strip(),
+            (GOLDEN / "involution_kuozhan_q4.json").read_text().strip()]
 
 
 class TestSearchAndFormats:

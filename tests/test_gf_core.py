@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinv import (build_field, ext_gcd, f_inv, f_pow, field_from_json,
-                   field_to_json, mu_subgroup, rel_trace, subfield_elements)
+from ppinv import (LinearizedPoly, build_field, ext_gcd, f_inv,
+                   field_from_json, field_to_json, invert_niu, linearized,
+                   linearized_eval, make_kuozhan, mu_subgroup,
+                   p_power_degree, parse_poly_expr, rel_trace,
+                   subfield_elements)
 from ppinv.errors import (NotCoprime, NotDivisor, NotPrime, Reducible,
                           TooLarge)
 
@@ -76,25 +79,25 @@ class TestInverseAndPow:
     def test_pow_zero_exponent(self):
         ctx = field_of(9)
         for x in ctx.units():
-            assert f_pow(ctx, x, 0) == 1
+            assert ctx.pow(x, 0) == 1
 
     def test_pow_negative(self):
         ctx = field_of(7)
-        assert f_pow(ctx, 3, -1) == 5  # 3*5 = 15 = 1 mod 7
+        assert ctx.pow(3, -1) == 5  # 3*5 = 15 = 1 mod 7
 
     def test_pow_zero_base(self):
         ctx = field_of(7)
-        assert f_pow(ctx, 0, 5) == 0
-        assert f_pow(ctx, 0, -3) == 0
-        assert f_pow(ctx, 0, 0) == 1  # by design decision
+        assert ctx.pow(0, 5) == 0
+        assert ctx.pow(0, -3) == 0
+        assert ctx.pow(0, 0) == 1  # by design decision
 
     @given(st.integers(-200, 200), st.integers(-200, 200))
     @settings(max_examples=60, deadline=None)
     def test_pow_is_homomorphic_on_units(self, e1, e2):
         ctx = field_of(9)
         for x in (1, 2, 5, 8):
-            assert ctx.mul(f_pow(ctx, x, e1), f_pow(ctx, x, e2)) == \
-                f_pow(ctx, x, e1 + e2)
+            assert ctx.mul(ctx.pow(x, e1), ctx.pow(x, e2)) == \
+                ctx.pow(x, e1 + e2)
 
 
 class TestFieldAxioms:
@@ -251,3 +254,25 @@ class TestExtGcd:
         a, b = ext_gcd(s, r)
         assert a * s + b * r == 1
         assert 0 <= a < r
+
+
+class TestPPowerDegree:
+    def test_degrees(self):
+        assert p_power_degree(field_of(16), 4) == 2
+        assert p_power_degree(field_of(9), 9) == 2
+        assert p_power_degree(field_of(7), 7) == 1
+
+    @pytest.mark.parametrize("q,base", [(9, 6), (9, 1), (16, 1), (16, 8)])
+    def test_rejected_everywhere(self, q, base):
+        # 6 is not a power of 3, 1 = p^0 names no subfield, 3 does not divide 4
+        ctx = field_of(q)
+        g = parse_poly_expr("x", ctx)
+        calls = [lambda: p_power_degree(ctx, base),
+                 lambda: linearized(ctx, base, [1]),
+                 lambda: linearized_eval(LinearizedPoly(ctx, base, (1,)), 1),
+                 lambda: invert_niu(ctx, base, g, 1, 1, 0)]
+        if ctx.p == 2:
+            calls.append(lambda: make_kuozhan(ctx, base, 1, 1, 1))
+        for call in calls:
+            with pytest.raises(ValueError, match="is not a power of p"):
+                call()

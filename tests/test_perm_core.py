@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from ppinv import (agw_diagram, agw_verify, as_permutation, brute_inverse,
-                   compose_tables, cycle_structure, identity_table,
-                   is_identity, parse_poly_expr, rel_trace)
-from ppinv.errors import NotBijective, SizeMismatch
+from ppinv import (PermTable, agw_diagram, agw_verify, as_permutation,
+                   brute_inverse, certify, compose_tables, cycle_structure,
+                   identity_table, is_identity, parse_poly_expr, rel_trace)
+from ppinv.errors import CertificationFailed, NotBijective, SizeMismatch
 
 from helpers import diagram_instances, field_of
 
@@ -172,3 +172,25 @@ class TestAgwVerify:
         for d in diagram_instances(ctx, rng, 6, bijective=False):
             r = agw_verify(d)
             assert r.premises_hold and not r.f_bijective and r.lemma_consistent
+
+
+class TestCertify:
+    # f(x) = 3x over F_7; its inverse is 5x
+    F = (0, 3, 6, 2, 5, 1, 4)
+    INV = (0, 5, 3, 1, 6, 4, 2)
+
+    def test_returns_the_inverse(self):
+        inv = PermTable(field_of(7), self.INV)
+        assert certify(self.F, inv) is inv
+
+    def test_first_failing_x_is_witness(self):
+        # swapping the images of f(2) = 6 and f(4) = 5 breaks x = 2 and 4
+        wrong = list(self.INV)
+        wrong[6], wrong[5] = wrong[5], wrong[6]
+        with pytest.raises(CertificationFailed) as err:
+            certify(self.F, PermTable(field_of(7), tuple(wrong)))
+        assert err.value.witness == 2
+
+    def test_length_mismatch(self):
+        with pytest.raises(CertificationFailed):
+            certify(self.F[:6], PermTable(field_of(7), self.INV))

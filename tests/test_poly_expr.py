@@ -7,7 +7,8 @@ import pytest
 
 from ppinv import (compose, eval_poly, interpolate, linearized,
                    linearized_eval, linearized_inverse, make_poly,
-                   parse_poly_expr, print_poly, reduce_mod_field, tabulate)
+                   p_power_degree, parse_poly_expr, print_poly,
+                   reduce_mod_field, tabulate)
 from ppinv.errors import (BadTraceDegree, ConstantOutOfRange, CtxMismatch,
                           LengthMismatch, PolySyntaxError, Singular)
 from ppinv.poly_expr import linearized_tabulate, monomial
@@ -51,6 +52,12 @@ class TestParse:
             v = ctx.add(x, 1)
             expected = 0 if v == 0 else ctx.inv(v)
             assert eval_poly(p, x) == expected
+
+    def test_negative_exponent_multiple_of_q_minus_1_keeps_zero(self):
+        # x^-k with (q-1) | k is x^(q-1), not the constant 1: 0^-k = 0
+        assert tabulate(parse_poly_expr("x^-1", field_of(2))) == [0, 1]
+        assert tabulate(parse_poly_expr("x^-6", field_of(7))) == [0] + [1] * 6
+        assert tabulate(parse_poly_expr("(x+1)^-1", field_of(2))) == [1, 0]
 
     def test_huge_exponent_folds(self):
         ctx = field_of(16)
@@ -238,7 +245,8 @@ class TestLinearized:
         rng = random.Random(q + base)
         for _ in range(5):
             L = linearized(ctx, base,
-                           [rng.randrange(q) for _ in range(ctx.n // _deg(ctx, base))])
+                           [rng.randrange(q)
+                            for _ in range(ctx.n // p_power_degree(ctx, base))])
             for _ in range(30):
                 x, y = rng.randrange(q), rng.randrange(q)
                 assert linearized_eval(L, ctx.add(x, y)) == \
@@ -258,12 +266,3 @@ class TestLinearized:
             t, ti = linearized_tabulate(L), linearized_tabulate(inv)
             assert all(ti[t[x]] == x for x in ctx.elements())
             assert all(t[ti[x]] == x for x in ctx.elements())
-
-
-def _deg(ctx, base):
-    d = 0
-    b = base
-    while b > 1:
-        b //= ctx.p
-        d += 1
-    return d
