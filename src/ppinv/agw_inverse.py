@@ -511,7 +511,10 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
 def _poly_param(ctx: FieldCtx, value) -> PolyFq:
     if isinstance(value, str):
         return parse_poly_expr(value, ctx)
-    return interpolate(ctx, list(value))
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"a polynomial must be a grammar string or a value "
+                         f"table, got {value!r}")
+    return interpolate(ctx, value)
 
 
 def _map_param(ctx: FieldCtx, value) -> list:

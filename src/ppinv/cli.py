@@ -4,7 +4,9 @@ Subcommands: ``field``, ``check-pp``, ``invert``, ``involution``,
 ``agw-verify``, ``interpolate``, ``search``.  Reports go to stdout as JSON
 (or ``--format text``); diagnostics go to stderr.  Exit codes: 0 success,
 1 mathematical rejection (the report embeds the error name and witness),
-2 usage or parse error.
+2 usage or parse error, 3 internal failure: a computed answer that failed
+its self-certification (reported like a rejection, as
+``CertificationFailed``) or a crash (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import itertools
 import json
 import sys
 
-from .errors import NotBijective, PPInvError, PolySyntaxError
+from .errors import (CertificationFailed, NotBijective, PPInvError,
+                     PolySyntaxError)
 from .agw_inverse import (family_from_descriptor, invert_additive,
                           invert_hybrid_scale, invert_multiplicative,
                           invert_niu, invert_translator, mul_family)
@@ -134,7 +137,12 @@ def _cmd_agw_verify(args) -> tuple:
     with open(args.file, encoding="utf-8") as fh:
         doc = json.load(fh)
     ctx = field_from_json(doc["field"])
-    g = {int(pair[0]): int(pair[1]) for pair in doc["g"]}
+    pairs = doc["g"]
+    if not (isinstance(pairs, list)
+            and all(isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair) for pair in pairs)):
+        raise ValueError("g must be a list of [s, g(s)] integer pairs")
+    g = dict(pairs)
     diagram = agw_diagram(ctx, doc["f"], doc["lambda"], doc["lambda_bar"],
                           g, doc["S"], doc["S_bar"])
     return 0, agw_verify(diagram).to_json()
@@ -147,6 +155,8 @@ def _cmd_interpolate(args) -> tuple:
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             table = json.load(fh)
+        if not isinstance(table, list):
+            raise ValueError("the table file must hold a JSON array")
     else:
         table = [int(v) for v in args.table.split(",")]
     poly = interpolate(ctx, table)
@@ -266,7 +276,11 @@ def run(argv) -> int:
             witness = list(witness)
         _emit({"error": exc.name, "message": str(exc), "witness": witness},
               args.format)
-        return 1
+        return 3 if isinstance(exc, CertificationFailed) else 1
+    except Exception:  # a crash must not read as a rejection (exit 1)
+        import traceback  # deferred: start-up does not load it otherwise
+        traceback.print_exc()
+        return 3
     _emit(payload, args.format)
     return code
 

@@ -7,6 +7,8 @@ multiplicative identity, and all I/O (JSON, CLI) uses this encoding.
 
 A :class:`FieldCtx` freezes the modulus and, for fields up to 2^16
 elements, discrete exp/log tables so multiplication and powering are O(1).
+:func:`unit_dft` is the Fourier transform on F_q^* in the coordinates of
+those tables.
 Everything here is a pure function of immutable inputs; contexts can be
 shared freely between threads.
 """
@@ -45,13 +47,13 @@ def _is_prime(m: int) -> bool:
 
 
 def _prime_factors(m: int) -> tuple:
+    """The prime factors of m, ascending and repeated by multiplicity."""
     out = []
     d = 2
     while d * d <= m:
-        if m % d == 0:
+        while m % d == 0:
             out.append(d)
-            while m % d == 0:
-                m //= d
+            m //= d
         d += 1
     if m > 1:
         out.append(m)
@@ -229,7 +231,7 @@ class FieldCtx:
         q = self.q
         if q == 2:
             return [1], [-1, 0]
-        fac = _prime_factors(q - 1)
+        fac = sorted(set(_prime_factors(q - 1)))
         gen = None
         for cand in range(2, q):
             if all(self._raw_pow(cand, (q - 1) // f) != 1 for f in fac):
@@ -321,6 +323,62 @@ def f_inv(ctx: FieldCtx, x: int) -> int:
     if x == 0:
         return 0
     return ctx.inv(x)
+
+
+def unit_dft(ctx: FieldCtx, seq: Sequence[int],
+             backward: bool = False) -> list:
+    """The discrete Fourier transform on the cyclic group F_q^*, unscaled.
+
+    Forward, ``seq`` is a value table indexed by element (length q, entry 0
+    unused) and the result is indexed by exponent:
+    ``out[k] = sum over a != 0 of seq[a] * a^(-k)`` for 0 <= k < q-1.
+    Backward, ``seq`` is indexed by exponent (length q-1) and the result
+    by element: ``out[a] = sum over k of seq[k] * a^k`` for every a in F_q,
+    so ``out[0] = seq[0]`` (0^0 = 1).  Backward after forward gives -seq on
+    F_q^*, because q - 1 = -1 in F_q.
+
+    In log coordinates (index i stands for g^i, g the primitive element
+    behind the exp/log tables) this is a length-(q-1) DFT with root g^-1
+    (forward) or g (backward).  It runs as a recursive mixed-radix
+    Cooley-Tukey over the prime factors of q-1 counted with multiplicity,
+    O(q * sum of those factors) field operations; a q-1 with a large prime
+    factor (the Mersenne prime 2^17 - 1, say) degrades toward O(q^2).
+    Fields above the log-table limit build the tables for the call.
+    """
+    q = ctx.q
+    if ctx._exp is not None:
+        exp, log = ctx._exp, ctx._log
+    else:
+        exp, log = ctx._build_log_tables()
+    primes = _prime_factors(q - 1)
+    if not backward:
+        return _dft([seq[a] for a in exp], q - 2, primes, ctx.add, exp, log)
+    values = _dft(list(seq), 1, primes, ctx.add, exp, log)
+    out = [seq[0]] * q
+    for i, a in enumerate(exp):
+        out[a] = values[i]
+    return out
+
+
+def _dft(vals: list, step: int, primes: tuple, add, exp: list,
+         log: list) -> list:
+    """``out[k] = sum over i of vals[i] * g^(step*i*k)`` by decimation in
+    time; ``primes`` multiply to ``len(vals)``."""
+    if len(vals) == 1:
+        return vals
+    p, qm1 = primes[0], len(exp)
+    out = []
+    for j in range(p):
+        y = _dft(vals[j::p], step * p % qm1, primes[1:], add, exp, log)
+        if j == 0:
+            out = y * p
+            continue
+        # out[k] += y[k mod len(y)] * g^(e*k), one table lookup per product
+        e = step * j
+        term = [exp[(l + e * k) % qm1] if l >= 0 else 0
+                for k, l in enumerate([log[v] for v in y] * p)]
+        out = [add(u, v) for u, v in zip(out, term)]
+    return out
 
 
 def p_power_degree(ctx: FieldCtx, base: int) -> int:

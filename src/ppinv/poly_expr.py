@@ -1,6 +1,10 @@
 """Polynomial values over GF(q): expression parsing, evaluation,
-composition, reduction modulo x^q - x, Lagrange interpolation, and
+composition, reduction modulo x^q - x, interpolation, and
 linearized-polynomial inversion.
+
+:func:`interpolate` reads closed-form coefficients off the Fourier
+transform on F_q^* (:func:`ppinv.gf_core.unit_dft`), O(q * sum of the prime
+factors of q-1), and certifies them by evaluating back at every element.
 
 Expression grammar (whitespace insignificant)::
 
@@ -23,7 +27,7 @@ from typing import Sequence, Union
 
 from .errors import (BadTraceDegree, CertificationFailed, ConstantOutOfRange,
                      CtxMismatch, LengthMismatch, PolySyntaxError, Singular)
-from .gf_core import FieldCtx, p_power_degree
+from .gf_core import FieldCtx, p_power_degree, unit_dft
 
 
 @dataclass(frozen=True)
@@ -205,33 +209,39 @@ def compose(outer: PolyFq, inner: PolyFq) -> PolyFq:
 
 def interpolate(ctx: FieldCtx, table: Sequence[int]) -> PolyFq:
     """The unique polynomial of degree < q through a full value table
-    (Lagrange with on-the-fly denominators; O(q^2))."""
+    (``table[x]`` is the image of x; every entry an int in [0, q)).
+
+    The coefficients are closed-form (Lidl & Niederreiter, *Finite Fields*,
+    ch. 7): c_0 = F(0), c_k = -sum over a != 0 of F(a) * a^(-k) for
+    1 <= k <= q-2, and c_(q-1) = -sum over all a of F(a).  With
+    V = :func:`~ppinv.gf_core.unit_dft` of the table, c_k = -V[k] and
+    c_(q-1) = -(F(0) + V[0]).  The transform costs O(q * sum of the prime
+    factors of q-1, with multiplicity), and a q-1 with a large prime factor
+    degrades toward O(q^2).  The answer certifies itself: the backward
+    transform evaluates it at every element, and a mismatch raises
+    :class:`CertificationFailed` with the first failing x as witness.
+    """
     q = ctx.q
     if len(table) != q:
         raise LengthMismatch(f"table has length {len(table)}, expected q = {q}")
     for v in table:
-        if not 0 <= v < q:
-            raise ValueError(f"table value {v} out of range")
-    # master polynomial M = x^q - x; basis numerators by synthetic division
-    m = [0] * (q + 1)
-    m[q] = 1
-    m[1] = ctx.neg(1)
-    acc = [0] * q
-    for a, target in enumerate(table):
-        if target == 0:
-            continue
-        quot = [0] * q
-        quot[q - 1] = m[q]
-        for k in range(q - 1, 0, -1):
-            quot[k - 1] = ctx.add(m[k], ctx.mul(a, quot[k]))
-        den = 0
-        for c in reversed(quot):
-            den = ctx.add(ctx.mul(den, a), c)
-        scale = ctx.div(target, den)
-        for j in range(q):
-            if quot[j]:
-                acc[j] = ctx.add(acc[j], ctx.mul(scale, quot[j]))
-    return make_poly(ctx, acc)
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
+            raise ValueError(f"table entry {v!r} is not an element of "
+                             f"GF({q})")
+    f0 = table[0]
+    V = unit_dft(ctx, table)
+    coeffs = ([f0] + [ctx.neg(v) for v in V[1:]]
+              + [ctx.neg(ctx.add(f0, V[0]))])
+    # x^(q-1) is 1 on F_q^*, so its coefficient joins the constant there
+    values = unit_dft(ctx, [ctx.add(coeffs[0], coeffs[-1])] + coeffs[1:-1],
+                      backward=True)
+    values[0] = coeffs[0]
+    bad = next((x for x in range(q) if values[x] != table[x]), None)
+    if bad is not None:
+        raise CertificationFailed(
+            f"interpolant takes {values[bad]} at x = {bad}, table has "
+            f"{table[bad]}", witness=bad)
+    return make_poly(ctx, coeffs)
 
 
 def print_poly(p: PolyFq) -> str:

@@ -4,6 +4,10 @@ Generators produce family instances whose hypotheses hold by construction
 (trace maps, subfield-coefficient polynomials), then let the constructors
 re-validate everything; invalid draws are simply discarded, so every suite
 run over a fixed seed sees the same instances.
+
+:func:`lagrange_interpolate` is the O(q^2) Lagrange interpolation that
+``ppinv.interpolate`` used before it read the coefficients off a Fourier
+transform; the differential tests compare the two.
 """
 
 import math
@@ -13,7 +17,7 @@ from functools import lru_cache
 from ppinv import (add_family, agw_diagram, build_field, hybrid_family,
                    make_poly, mul_family, rel_trace, subfield_elements,
                    translator_family)
-from ppinv.errors import PPInvError
+from ppinv.errors import LengthMismatch, PPInvError
 
 ACCEPTANCE_FIELDS = (4, 5, 7, 8, 9, 16, 25, 27, 32, 64)
 
@@ -29,6 +33,37 @@ def field_of(q):
         n += 1
     assert m == 1, f"{q} is not a prime power"
     return build_field(p, n)
+
+
+def lagrange_interpolate(ctx, table):
+    """The unique polynomial of degree < q through a full value table
+    (Lagrange with on-the-fly denominators; O(q^2))."""
+    q = ctx.q
+    if len(table) != q:
+        raise LengthMismatch(f"table has length {len(table)}, expected q = {q}")
+    for v in table:
+        if not 0 <= v < q:
+            raise ValueError(f"table value {v} out of range")
+    # master polynomial M = x^q - x; basis numerators by synthetic division
+    m = [0] * (q + 1)
+    m[q] = 1
+    m[1] = ctx.neg(1)
+    acc = [0] * q
+    for a, target in enumerate(table):
+        if target == 0:
+            continue
+        quot = [0] * q
+        quot[q - 1] = m[q]
+        for k in range(q - 1, 0, -1):
+            quot[k - 1] = ctx.add(m[k], ctx.mul(a, quot[k]))
+        den = 0
+        for c in reversed(quot):
+            den = ctx.add(ctx.mul(den, a), c)
+        scale = ctx.div(target, den)
+        for j in range(q):
+            if quot[j]:
+                acc[j] = ctx.add(acc[j], ctx.mul(scale, quot[j]))
+    return make_poly(ctx, acc)
 
 
 def divisors(m):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from ppinv import cli
+from ppinv.errors import CertificationFailed
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -218,6 +219,64 @@ class TestErrorsAndExitCodes:
         assert out == "" and "out of range" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("table", [
+        ["a", 1, 2, 3], [0, 1.0, 2, 3], [0, True, 2, 3], [0, None, 2, 3],
+        {"0": 0}, 7])
+    def test_bad_interpolation_table_exit_2(self, tmp_path, capsys, table):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(table))
+        assert cli.run(["interpolate", "--p", "2", "--n", "2",
+                        "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad input" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("h", [[1, 1.0, 1, 1, 1, 1, 1], ["3"] * 7, 3])
+    def test_bad_value_table_polynomial_exit_2(self, tmp_path, capsys, h):
+        doc = {"family": "mul", "field": {"p": 7, "n": 1},
+               "r": 1, "s": 3, "h": h}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["invert", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad input" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("g", [
+        [[0, 0], [1]], [[0, 0], [1, 1, 2]], [[0, 0], [1, 1.5]],
+        [[0, 0], [1, "1"]], [[0, 0], [True, 1]], [[0]], [0, 0], 5])
+    def test_malformed_agw_g_exit_2(self, tmp_path, capsys, g):
+        doc = {"field": {"p": 2, "n": 1}, "f": [0, 1], "lambda": [0, 1],
+               "lambda_bar": [0, 1], "g": g, "S": [0, 1], "S_bar": [0, 1]}
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["agw-verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad input" in err
+        assert "Traceback" not in err
+
+    def test_certification_failure_exit_3(self, monkeypatch, capsys):
+        def forged(fam):
+            raise CertificationFailed("inverse misses 4", witness=4)
+        monkeypatch.setattr(cli, "invert_multiplicative", forged)
+        assert cli.run(["invert", "--family", "mul", "--p", "7", "--r", "1",
+                        "--s", "3", "--h", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"error": "CertificationFailed",
+                                   "message": "inverse misses 4",
+                                   "witness": 4}
+        assert err == ""
+
+    def test_crash_exit_3_with_traceback(self, monkeypatch, capsys):
+        def crash(ctx, table):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "interpolate", crash)
+        assert cli.run(["interpolate", "--p", "7",
+                        "--table", "0,1,2,3,4,5,6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 class TestDispatch:
     def test_handlers_resolve_functions_at_call_time(self, monkeypatch,
