@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
@@ -27,17 +27,26 @@ from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
                         tabulate)
 
 
-def _small_inverse(mapping: Mapping, label: str) -> dict:
-    """Brute-force inverse of a map on a small set; rejects collisions."""
+def _small_inverse(pairs: Iterable, label: str) -> dict:
+    """Brute-force inverse of a map given as (x, image) pairs; rejects the
+    first collision.  Callers pass the pairs in ascending x (the g maps are
+    built over sorted sets), so the witness is the first collision in x."""
     inv: dict = {}
-    for k in sorted(mapping):
-        v = mapping[k]
+    for k, v in pairs:
         if v in inv:
             raise NotPermutation(
                 f"{label} is not a bijection: {inv[v]} and {k} both map to {v}",
                 witness=(inv[v], k))
         inv[v] = k
     return inv
+
+
+def _element(ctx: FieldCtx, value, name: str) -> int:
+    """A scalar that denotes a field element, as an int in [0, q)."""
+    v = int(value)
+    if not 0 <= v < ctx.q:
+        raise ValueError(f"{name} = {v} is out of range for q = {ctx.q}")
+    return v
 
 
 # multiplicative family: f(x) = x^r h(x^s)
@@ -79,7 +88,7 @@ def mul_family(ctx: FieldCtx, r: int, s: int, h: PolyFq) -> MulFamily:
         h_on_mu[z] = v
     g_map = {z: ctx.mul(ctx.pow(z, r), ctx.pow(h_on_mu[z], s))
              for z in mu.elements}
-    g_inv = _small_inverse(g_map, f"g on mu_{ell}")
+    g_inv = _small_inverse(g_map.items(), f"g on mu_{ell}")
     a, b = ext_gcd(s, r)
     f = [0] * ctx.q
     for x in ctx.units():
@@ -162,7 +171,8 @@ def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
     bar_t = tuple(_materialize(ctx, lam_bar))
     S = tuple(sorted(set(lam_t)))
     S_bar = tuple(sorted(set(bar_t)))
-    g0_d = {int(k): int(v) for k, v in g0.items()}
+    g0_d = {_element(ctx, k, "g0 key"): _element(ctx, v, "g0 value")
+            for k, v in g0.items()}
     missing = [s for s in S if s not in g0_d]
     if missing:
         raise ValueError(f"g0 is undefined on {missing[0]} in S")
@@ -189,7 +199,7 @@ def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
 def invert_additive(fam: AddFamily) -> PermTable:
     """f^{-1}(x) = g^{-1}(x - g0(g^{-1}(lambda_bar(x))))."""
     ctx = fam.ctx
-    g_inv = _small_inverse(dict(enumerate(fam.g)), "g on F")
+    g_inv = _small_inverse(enumerate(fam.g), "g on F")
     images = []
     for x in ctx.elements():
         s = g_inv[fam.lam_bar[x]]
@@ -221,7 +231,7 @@ class HybridScaleFamily:
 def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
                   S: Sequence[int]) -> HybridScaleFamily:
     lam_t = tuple(_materialize(ctx, lam))
-    S_t = tuple(sorted(set(int(s) for s in S)))
+    S_t = tuple(sorted({_element(ctx, s, "S member") for s in S}))
     if 0 not in S_t:
         raise ConditionFail("S must contain 0")
     if eval_poly(h, 0) == 0:
@@ -252,7 +262,7 @@ def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
     theta = {y: k_on_S[h_on_L[y]] for y in L}
     g_map = {y: ctx.mul(y, theta[y]) for y in L}
     try:
-        g_inv = _small_inverse(g_map, "g on the lambda image")
+        g_inv = _small_inverse(g_map.items(), "g on the lambda image")
     except NotPermutation:
         g_inv = None
     f = tuple(ctx.mul(x, h_on_L[lam_t[x]]) for x in ctx.elements())
@@ -296,6 +306,7 @@ class TranslatorFamily:
 
 def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
                       G: PolyFq) -> TranslatorFamily:
+    gamma, b = _element(ctx, gamma, "gamma"), _element(ctx, b, "b")
     if gamma == 0:
         raise GammaZero("gamma must be nonzero")
     lam_t = tuple(_materialize(ctx, lam))
@@ -317,7 +328,7 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
                     f"(x, u) = ({x}, {u})", witness=(x, u))
     g_map = {y: ctx.add(y, ctx.mul(b, G_on_S[y])) for y in S}
     try:
-        g_inv = _small_inverse(g_map, "g on S")
+        g_inv = _small_inverse(g_map.items(), "g on S")
     except NotPermutation:
         g_inv = None
     f = tuple(ctx.add(x, ctx.mul(gamma, G_on_S[lam_t[x]]))
@@ -455,6 +466,7 @@ def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
                 delta: int) -> tuple:
     """Forward table of f(x) = g(x^{q^i} - x + delta) + c*x."""
     e = p_power_degree(ctx, q)
+    c, delta = _element(ctx, c, "c"), _element(ctx, delta, "delta")
     return tuple(
         ctx.add(eval_poly(g, ctx.add(ctx.sub(ctx.frob(x, e * i), x), delta)),
                 ctx.mul(c, x))
@@ -472,6 +484,7 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
     h(x) = g(x)^{q^i} - g(x) + c*x + (1-c)*delta.
     """
     e = p_power_degree(ctx, q)
+    c, delta = _element(ctx, c, "c"), _element(ctx, delta, "delta")
     m = ctx.n // e
     if not 1 <= i <= m - 1:
         raise ValueError(f"i must satisfy 1 <= i <= m-1 = {m - 1}")
@@ -486,14 +499,8 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
         gx = g_vals[x]
         h_table[x] = ctx.add(
             ctx.add(ctx.sub(ctx.frob(gx, e * i), gx), ctx.mul(c, x)), shift)
-    seen: dict = {}
-    for x, v in enumerate(h_table):
-        if v in seen:
-            raise NotPermutation(
-                f"h(x) = g(x)^(q^i) - g(x) + c*x + (1-c)*delta is not a "
-                f"bijection: {seen[v]} and {x} collide", witness=(seen[v], x))
-        seen[v] = x
-    H = [seen[v] for v in range(ctx.q)]
+    H = _small_inverse(enumerate(h_table),
+                       "h(x) = g(x)^(q^i) - g(x) + c*x + (1-c)*delta")
     c_inv = ctx.inv(c)
     images = []
     for x in ctx.elements():
@@ -523,13 +530,6 @@ def _map_param(ctx: FieldCtx, value) -> list:
     return _materialize(ctx, list(value))
 
 
-def _element(ctx: FieldCtx, value, name: str) -> int:
-    v = int(value)
-    if not 0 <= v < ctx.q:
-        raise ValueError(f"{name} = {v} is out of range for q = {ctx.q}")
-    return v
-
-
 def family_from_descriptor(doc: dict):
     """Build a family from a JSON descriptor document
     ``{"family": ..., "field": {...}, parameters by name}``; polynomials are
@@ -547,29 +547,22 @@ def family_from_descriptor(doc: dict):
         g = _map_param(ctx, doc["g"])
         lam = _map_param(ctx, doc["lambda"])
         lam_bar = _map_param(ctx, doc.get("lambda_bar", doc["lambda"]))
-        g0_doc = doc["g0"]
-        if isinstance(g0_doc, str):
-            g0_poly = parse_poly_expr(g0_doc, ctx)
+        g0 = doc["g0"]
+        if isinstance(g0, str):
+            g0_poly = parse_poly_expr(g0, ctx)
             g0 = {s: eval_poly(g0_poly, s) for s in set(lam)}
-        else:
-            g0 = {_element(ctx, k, "g0 key"): _element(ctx, v, "g0 value")
-                  for k, v in g0_doc.items()}
         return kind, add_family(ctx, g, g0, lam, lam_bar)
     if kind == "hybrid":
         h = _poly_param(ctx, doc["h"])
         k = _poly_param(ctx, doc["k"])
         lam = _map_param(ctx, doc["lambda"])
-        S = [_element(ctx, s, "S member") for s in doc["S"]]
-        return kind, hybrid_family(ctx, h, k, lam, S)
+        return kind, hybrid_family(ctx, h, k, lam, doc["S"])
     if kind == "translator":
         lam = _map_param(ctx, doc["lambda"])
         G = _poly_param(ctx, doc["G"])
-        return kind, translator_family(ctx, lam,
-                                       _element(ctx, doc["gamma"], "gamma"),
-                                       _element(ctx, doc["b"], "b"), G)
+        return kind, translator_family(ctx, lam, doc["gamma"], doc["b"], G)
     if kind == "niu":
         g = _poly_param(ctx, doc["g"])
         return kind, NiuFamily(ctx, int(doc["q"]), g, int(doc["i"]),
-                               _element(ctx, doc["c"], "c"),
-                               _element(ctx, doc["delta"], "delta"))
+                               int(doc["c"]), int(doc["delta"]))
     raise ValueError(f"unknown family kind {kind!r}")

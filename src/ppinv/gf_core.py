@@ -5,8 +5,9 @@ vector (a0, ..., a_{n-1}) of an element written over F_p is packed in base
 p as ``sum(a_i * p**i)``.  Index 0 is the additive identity and index 1 the
 multiplicative identity, and all I/O (JSON, CLI) uses this encoding.
 
-A :class:`FieldCtx` freezes the modulus and, for fields up to 2^16
-elements, discrete exp/log tables so multiplication and powering are O(1).
+A :class:`FieldCtx` freezes the modulus and discrete exp/log tables, so
+multiplication, inversion and powering are one table lookup each, for every
+field up to the enumeration bound.
 :func:`unit_dft` is the Fourier transform on F_q^* in the coordinates of
 those tables.
 Everything here is a pure function of immutable inputs; contexts can be
@@ -23,12 +24,9 @@ from typing import Optional, Sequence
 from .errors import (CertificationFailed, NotCoprime, NotDivisor, NotPrime,
                      Reducible, TooLarge)
 
-# Brute-force scans refuse fields above this bound unless overridden.
+# The largest field accepted: every answer is certified by enumerating
+# F_q, and the exp/log tables of GF(2^20) take about 100 MB.
 DEFAULT_ENUM_BOUND = 1 << 20
-
-# exp/log tables are built eagerly below this size; larger fields fall back
-# to direct polynomial arithmetic per operation.
-_LOG_TABLE_LIMIT = 1 << 16
 
 
 def _is_prime(m: int) -> bool:
@@ -127,10 +125,13 @@ class MuSubgroup:
 class FieldCtx:
     """Immutable arithmetic context for GF(p^n).
 
-    Not constructed directly; use :func:`build_field`.
+    Not constructed directly; use :func:`build_field`.  For speed the
+    arithmetic does not check its arguments: every element passed in must
+    be an int in [0, q) (a negative one silently reads the tables from the
+    end).  The public constructors range-check their inputs instead.
     """
 
-    __slots__ = ("spec", "p", "n", "q", "modulus", "_exp", "_log")
+    __slots__ = ("spec", "p", "n", "q", "modulus", "_mask", "_exp", "_log")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -138,13 +139,8 @@ class FieldCtx:
         self.n = spec.n
         self.q = spec.p ** spec.n
         self.modulus = spec.modulus
-        if self.q <= _LOG_TABLE_LIMIT:
-            exp, log = self._build_log_tables()
-            self._exp = exp
-            self._log = log
-        else:
-            self._exp = None
-            self._log = None
+        self._mask = self.pack(spec.modulus)  # a bit mask when p = 2
+        self._exp, self._log = self._build_log_tables()
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.spec == other.spec
@@ -201,6 +197,18 @@ class FieldCtx:
         p, n = self.p, self.n
         if n == 1:
             return (a * b) % p
+        if p == 2:
+            # carry-less product, then clear the bits of degree >= n
+            prod = 0
+            while b:
+                if b & 1:
+                    prod ^= a
+                a <<= 1
+                b >>= 1
+            for i in range(prod.bit_length() - 1, n - 1, -1):
+                if prod >> i & 1:
+                    prod ^= self._mask << (i - n)
+            return prod
         da, db = self.digits(a), self.digits(b)
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(da):
@@ -249,19 +257,13 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        exp = self._exp
-        if exp is not None:
-            return exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._raw_mul(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         """Strict multiplicative inverse; zero is a caller bug here."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0 requested")
-        exp = self._exp
-        if exp is not None:
-            return exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._raw_pow(a, self.q - 2)
+        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -270,12 +272,7 @@ class FieldCtx:
         """x^e with exponents acting mod q-1 on F_q^*; 0^0 = 1, 0^e = 0."""
         if x == 0:
             return 1 if e == 0 else 0
-        qm1 = self.q - 1
-        e %= qm1
-        exp = self._exp
-        if exp is not None:
-            return exp[(self._log[x] * e) % qm1]
-        return self._raw_pow(x, e)
+        return self._exp[(self._log[x] * e) % (self.q - 1)]
 
     def frob(self, x: int, k: int) -> int:
         """The k-fold Frobenius x^(p^k)."""
@@ -288,9 +285,9 @@ class FieldCtx:
         return range(1, self.q)
 
 
-def build_field(p: int, n: int = 1, modulus: Optional[Sequence[int]] = None,
-                *, max_q: int = DEFAULT_ENUM_BOUND) -> FieldCtx:
-    """Construct GF(p^n).
+def build_field(p: int, n: int = 1,
+                modulus: Optional[Sequence[int]] = None) -> FieldCtx:
+    """Construct GF(p^n), refusing q above :data:`DEFAULT_ENUM_BOUND`.
 
     When ``modulus`` is omitted the lexicographically least monic
     irreducible of degree n over F_p (coefficients compared low-to-high) is
@@ -301,8 +298,9 @@ def build_field(p: int, n: int = 1, modulus: Optional[Sequence[int]] = None,
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"extension degree must be a positive integer, got {n}")
     q = p ** n
-    if q > max_q:
-        raise TooLarge(f"q = {q} exceeds the enumeration bound {max_q}")
+    if q > DEFAULT_ENUM_BOUND:
+        raise TooLarge(f"q = {q} exceeds the enumeration bound "
+                       f"{DEFAULT_ENUM_BOUND}")
     if modulus is None:
         modulus = _default_modulus(p, n)
     else:
@@ -343,13 +341,8 @@ def unit_dft(ctx: FieldCtx, seq: Sequence[int],
     Cooley-Tukey over the prime factors of q-1 counted with multiplicity,
     O(q * sum of those factors) field operations; a q-1 with a large prime
     factor (the Mersenne prime 2^17 - 1, say) degrades toward O(q^2).
-    Fields above the log-table limit build the tables for the call.
     """
-    q = ctx.q
-    if ctx._exp is not None:
-        exp, log = ctx._exp, ctx._log
-    else:
-        exp, log = ctx._build_log_tables()
+    q, exp, log = ctx.q, ctx._exp, ctx._log
     primes = _prime_factors(q - 1)
     if not backward:
         return _dft([seq[a] for a in exp], q - 2, primes, ctx.add, exp, log)
@@ -442,7 +435,6 @@ def field_to_json(ctx: FieldCtx) -> dict:
     return {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus)}
 
 
-def field_from_json(doc: dict, *, max_q: int = DEFAULT_ENUM_BOUND) -> FieldCtx:
+def field_from_json(doc: dict) -> FieldCtx:
     """Build a field from ``{"p": int, "n": int, "modulus": [int,...]?}``."""
-    return build_field(int(doc["p"]), int(doc.get("n", 1)),
-                       doc.get("modulus"), max_q=max_q)
+    return build_field(int(doc["p"]), int(doc.get("n", 1)), doc.get("modulus"))

@@ -98,7 +98,7 @@ def check_add_involution(fam: AddFamily) -> CriterionReport:
         raise ConditionFail("criterion requires lambda = lambda_bar")
     if fam.S != fam.S_bar:
         raise ConditionFail("criterion requires S = S_bar")
-    g_inv = _small_inverse(dict(enumerate(fam.g)), "g on F")
+    g_inv = _small_inverse(enumerate(fam.g), "g on F")
     g_ok, g_wit = True, None
     for s in fam.S:
         if fam.g[fam.g[s]] != s:

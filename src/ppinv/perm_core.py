@@ -162,6 +162,13 @@ class AgwDiagram:
     S_bar: tuple
 
 
+def _element_set(ctx: FieldCtx, values, name: str) -> tuple:
+    if not (isinstance(values, (list, tuple))
+            and all(type(v) is int and 0 <= v < ctx.q for v in values)):
+        raise ValueError(f"{name} must be a list of integers in [0, {ctx.q})")
+    return tuple(sorted(set(values)))
+
+
 def agw_diagram(ctx: FieldCtx, f: MapLike, lam: MapLike, lam_bar: MapLike,
                 g: Mapping, S: Sequence[int], S_bar: Sequence[int]) -> AgwDiagram:
     """Validate shapes and build a diagram.  f may be any total map (the
@@ -169,8 +176,7 @@ def agw_diagram(ctx: FieldCtx, f: MapLike, lam: MapLike, lam_bar: MapLike,
     f_t = tuple(_materialize(ctx, f))
     lam_t = tuple(_materialize(ctx, lam))
     bar_t = tuple(_materialize(ctx, lam_bar))
-    S_t = tuple(sorted(set(int(s) for s in S)))
-    Sb_t = tuple(sorted(set(int(s) for s in S_bar)))
+    S_t, Sb_t = _element_set(ctx, S, "S"), _element_set(ctx, S_bar, "S_bar")
     if not set(lam_t) <= set(S_t):
         raise ValueError("lambda maps outside the declared S")
     if not set(bar_t) <= set(Sb_t):

@@ -23,6 +23,7 @@ which bakes the 0^-k = 0 convention into the resulting polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence, Union
 
 from .errors import (BadTraceDegree, CertificationFailed, ConstantOutOfRange,
@@ -78,27 +79,17 @@ def _require_same_ctx(a: PolyFq, b: PolyFq):
 
 
 def poly_add(a: PolyFq, b: PolyFq) -> PolyFq:
-    _require_same_ctx(a, b)
-    ctx = a.ctx
-    la, lb = len(a.coeffs), len(b.coeffs)
-    out = []
-    for i in range(max(la, lb)):
-        u = a.coeffs[i] if i < la else 0
-        v = b.coeffs[i] if i < lb else 0
-        out.append(ctx.add(u, v))
-    return make_poly(ctx, out)
+    return _coefficientwise(a, b, a.ctx.add)
 
 
 def poly_sub(a: PolyFq, b: PolyFq) -> PolyFq:
+    return _coefficientwise(a, b, a.ctx.sub)
+
+
+def _coefficientwise(a: PolyFq, b: PolyFq, op) -> PolyFq:
     _require_same_ctx(a, b)
-    ctx = a.ctx
-    la, lb = len(a.coeffs), len(b.coeffs)
-    out = []
-    for i in range(max(la, lb)):
-        u = a.coeffs[i] if i < la else 0
-        v = b.coeffs[i] if i < lb else 0
-        out.append(ctx.sub(u, v))
-    return make_poly(ctx, out)
+    return make_poly(a.ctx, [op(u, v) for u, v in
+                             zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
 
 
 def poly_mul(a: PolyFq, b: PolyFq) -> PolyFq:

@@ -7,7 +7,11 @@ run over a fixed seed sees the same instances.
 
 :func:`lagrange_interpolate` is the O(q^2) Lagrange interpolation that
 ``ppinv.interpolate`` used before it read the coefficients off a Fourier
-transform; the differential tests compare the two.
+transform; the differential tests compare the two.  :func:`reference_mul`
+is the schoolbook product on base-p digit vectors that ``FieldCtx`` once
+used for every operation above 2^16 elements, and
+:func:`reference_log_tables` the exp/log tables built from it; the field
+tests compare the table arithmetic with them.
 """
 
 import math
@@ -33,6 +37,19 @@ def field_of(q):
         n += 1
     assert m == 1, f"{q} is not a prime power"
     return build_field(p, n)
+
+
+def prime_powers(bound):
+    """Every prime power q with 2 <= q <= bound, ascending."""
+    out = []
+    for q in range(2, bound + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = q
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            out.append(q)
+    return out
 
 
 def lagrange_interpolate(ctx, table):
@@ -64,6 +81,66 @@ def lagrange_interpolate(ctx, table):
             if quot[j]:
                 acc[j] = ctx.add(acc[j], ctx.mul(scale, quot[j]))
     return make_poly(ctx, acc)
+
+
+def reference_mul(ctx, a, b):
+    """a*b by multiplying the base-p digit vectors and reducing by the
+    modulus, one coefficient at a time."""
+    if a == 0 or b == 0:
+        return 0
+    p, n = ctx.p, ctx.n
+    if n == 1:
+        return (a * b) % p
+    da, db = ctx.digits(a), ctx.digits(b)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                if bj:
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+    mod = ctx.modulus
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(n):
+                prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % p
+    return ctx.pack(prod[:n])
+
+
+def reference_pow(ctx, x, e):
+    """x^e for e >= 0 by square-and-multiply over :func:`reference_mul`."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = reference_mul(ctx, acc, x)
+        x = reference_mul(ctx, x, x)
+        e >>= 1
+    return acc
+
+
+def reference_log_tables(ctx):
+    """exp/log tables for the least primitive element >= 2, walked with
+    :func:`reference_mul` (log[0] = -1)."""
+    q = ctx.q
+    if q == 2:
+        return [1], [-1, 0]
+    m, d, fac = q - 1, 2, set()
+    while m > 1:
+        if m % d:
+            d += 1
+        else:
+            fac.add(d)
+            m //= d
+    gen = next(g for g in range(2, q)
+               if all(reference_pow(ctx, g, (q - 1) // f) != 1 for f in fac))
+    exp, log = [1] * (q - 1), [-1] * q
+    cur = 1
+    for i in range(q - 1):
+        exp[i] = cur
+        log[cur] = i
+        cur = reference_mul(ctx, cur, gen)
+    return exp, log
 
 
 def divisors(m):

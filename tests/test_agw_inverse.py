@@ -579,6 +579,17 @@ class TestNiu:
         with pytest.raises(NotPermutation):
             invert_niu(ctx, 3, parse_poly_expr("x", ctx), 1, 2, 0)
 
+    def test_not_permutation_witness_is_first_collision(self):
+        ctx = field_of(9)
+        g = parse_poly_expr("x", ctx)
+        # with g = x, c = 2 and delta = 0, h(x) = x^3 - x + 2x = x^3 + x
+        h = [ctx.add(ctx.pow(x, 3), x) for x in ctx.elements()]
+        first = next((h.index(v), x) for x, v in enumerate(h)
+                     if h.index(v) < x)
+        with pytest.raises(NotPermutation) as info:
+            invert_niu(ctx, 3, g, 1, 2, 0)
+        assert info.value.witness == first
+
     def test_f9_valid_instances(self):
         ctx = field_of(9)
         for c, g_text in ((1, "x"), (2, "2*x")):
@@ -674,6 +685,42 @@ class TestNeutralParameters:
         fam_t = translator_family(ctx, lam, 1, lam[1],
                                   parse_poly_expr("0", ctx))
         assert invert_translator(fam_t).images == tuple(range(16))
+
+
+class TestElementRanges:
+    """Scalars that denote field elements must lie in [0, q); the field
+    arithmetic does not check, so each constructor does (over GF(2^4),
+    -1 would read the log table from the end and 16 past it)."""
+
+    @pytest.mark.parametrize("gamma,b", [(-1, 16), (16, 1), (1, -1),
+                                         (1, 16)])
+    def test_translator(self, gamma, b):
+        ctx = field_of(16)
+        with pytest.raises(ValueError, match="out of range"):
+            translator_family(ctx, trace_table(ctx, 1), gamma, b,
+                              parse_poly_expr("x", ctx))
+
+    @pytest.mark.parametrize("S", [[0, 1, -1], [0, 1, 16]])
+    def test_hybrid(self, S):
+        ctx = field_of(16)
+        with pytest.raises(ValueError, match="S member"):
+            hybrid_family(ctx, parse_poly_expr("1", ctx),
+                          parse_poly_expr("x", ctx), trace_table(ctx, 1), S)
+
+    @pytest.mark.parametrize("g0", [{0: -3, 1: 0}, {0: 0, 1: 16},
+                                    {0: 0, 1: 0, -1: 0}, {0: 0, 1: 0, 16: 0}])
+    def test_add(self, g0):
+        ctx = field_of(16)
+        lam = trace_table(ctx, 1)
+        with pytest.raises(ValueError, match="g0"):
+            add_family(ctx, list(range(16)), g0, lam, lam)
+
+    @pytest.mark.parametrize("c,delta", [(1, -1), (1, 16), (-1, 0), (16, 0)])
+    @pytest.mark.parametrize("build", [invert_niu, niu_forward])
+    def test_niu(self, build, c, delta):
+        ctx = field_of(16)
+        with pytest.raises(ValueError, match="out of range"):
+            build(ctx, 4, parse_poly_expr("x", ctx), 1, c, delta)
 
 
 def _tampered(fam):

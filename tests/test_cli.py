@@ -256,6 +256,25 @@ class TestErrorsAndExitCodes:
         assert out == "" and "bad input" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("override", [
+        {"S": 5}, {"S_bar": 5},
+        {"lambda": [0, 0, 0], "S": [0, 7], "g": [[0, 0], [7, 0]]},
+        {"lambda": [0, 1, 1], "S": [0, 1, -1],
+         "g": [[0, 0], [1, 1], [-1, 2]]},
+        {"S_bar": [0, 1, 2.0]}, {"S": [False, 1, 2]}, {"S_bar": "012"},
+        {"S": {"0": 0, "1": 1, "2": 2}}])
+    def test_malformed_agw_sets_exit_2(self, tmp_path, capsys, override):
+        doc = {"field": {"p": 3, "n": 1}, "f": [0, 1, 2],
+               "lambda": [0, 1, 2], "lambda_bar": [0, 1, 2],
+               "g": [[0, 0], [1, 1], [2, 2]], "S": [0, 1, 2],
+               "S_bar": [0, 1, 2], **override}
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["agw-verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad input" in err
+        assert "Traceback" not in err
+
     def test_certification_failure_exit_3(self, monkeypatch, capsys):
         def forged(fam):
             raise CertificationFailed("inverse misses 4", witness=4)

@@ -6,24 +6,12 @@ import random
 
 import pytest
 
-from ppinv import (build_field, cli, eval_poly, gf_core, interpolate,
-                   make_poly, poly_expr, tabulate)
+from ppinv import (cli, eval_poly, gf_core, interpolate, make_poly,
+                   poly_expr, tabulate)
 from ppinv.errors import CertificationFailed
 from ppinv.poly_expr import monomial
 
-from helpers import field_of, lagrange_interpolate
-
-
-def _prime_powers(bound):
-    out = []
-    for q in range(2, bound + 1):
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        m = q
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            out.append(q)
-    return out
+from helpers import field_of, lagrange_interpolate, prime_powers
 
 
 def _random_table(q, rng):
@@ -38,7 +26,7 @@ def _random_table(q, rng):
     return table
 
 
-@pytest.mark.parametrize("q", _prime_powers(1024))
+@pytest.mark.parametrize("q", prime_powers(1024))
 def test_matches_lagrange_on_random_tables(q):
     ctx = field_of(q)
     table = _random_table(q, random.Random(q))
@@ -73,21 +61,6 @@ def test_edge_shapes_of_q_minus_1(q):
     for table, poly in _known_tables(ctx):
         assert interpolate(ctx, table) == poly
     for table in _point_tables(ctx):
-        assert interpolate(ctx, table) == lagrange_interpolate(ctx, table)
-
-
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (3, 2), (2, 5),
-                                 (5, 2), (3, 3)])
-def test_table_less_path_matches_lagrange(monkeypatch, p, n):
-    # fields above the log-table limit build exp/log lists for the call
-    monkeypatch.setattr(gf_core, "_LOG_TABLE_LIMIT", 1)
-    ctx = build_field(p, n)
-    assert ctx._exp is None
-    for table, poly in _known_tables(ctx):
-        assert interpolate(ctx, table) == poly
-    rng = random.Random(p ** n)
-    for table in _point_tables(ctx) + [
-            [rng.randrange(ctx.q) for _ in range(ctx.q)]]:
         assert interpolate(ctx, table) == lagrange_interpolate(ctx, table)
 
 
