@@ -20,8 +20,8 @@ from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
                      NotInjectivePhi, NotInSubfield, NotPermutation,
                      NotTranslator, SquareDoesNotCommute)
-from .gf_core import (FieldCtx, MuSubgroup, ext_gcd, field_from_json,
-                      mu_subgroup, p_power_degree)
+from .gf_core import (FieldCtx, MuSubgroup, check_int, check_ints, ext_gcd,
+                      field_from_json, mu_subgroup, p_power_degree)
 from .perm_core import MapLike, PermTable, _materialize, brute_inverse, certify
 from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
                         tabulate)
@@ -39,14 +39,6 @@ def _small_inverse(pairs: Iterable, label: str) -> dict:
                 witness=(inv[v], k))
         inv[v] = k
     return inv
-
-
-def _element(ctx: FieldCtx, value, name: str) -> int:
-    """A scalar that denotes a field element, as an int in [0, q)."""
-    v = int(value)
-    if not 0 <= v < ctx.q:
-        raise ValueError(f"{name} = {v} is out of range for q = {ctx.q}")
-    return v
 
 
 # multiplicative family: f(x) = x^r h(x^s)
@@ -72,9 +64,8 @@ class MulFamily:
 
 
 def mul_family(ctx: FieldCtx, r: int, s: int, h: PolyFq) -> MulFamily:
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if not isinstance(s, int) or s < 1 or (ctx.q - 1) % s != 0:
+    check_int(r, "r", 1)
+    if check_int(s, "s") < 1 or (ctx.q - 1) % s != 0:
         raise NotDivisor(f"s = {s} does not divide q - 1 = {ctx.q - 1}")
     if math.gcd(r, s) != 1:
         raise NotCoprime(f"gcd(r = {r}, s = {s}) != 1")
@@ -166,12 +157,15 @@ class AddFamily:
 
 def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
                lam_bar: MapLike) -> AddFamily:
-    g_t = tuple(_materialize(ctx, g))
-    lam_t = tuple(_materialize(ctx, lam))
-    bar_t = tuple(_materialize(ctx, lam_bar))
+    g_t = tuple(_materialize(ctx, g, "g"))
+    lam_t = tuple(_materialize(ctx, lam, "lambda"))
+    bar_t = tuple(_materialize(ctx, lam_bar, "lambda_bar"))
     S = tuple(sorted(set(lam_t)))
     S_bar = tuple(sorted(set(bar_t)))
-    g0_d = {_element(ctx, k, "g0 key"): _element(ctx, v, "g0 value")
+    q = ctx.q
+    if not isinstance(g0, Mapping):
+        raise ValueError(f"g0 = {g0!r:.60} is out of range: expected a map")
+    g0_d = {check_int(k, "g0 key", 0, q): check_int(v, "g0 value", 0, q)
             for k, v in g0.items()}
     missing = [s for s in S if s not in g0_d]
     if missing:
@@ -230,8 +224,8 @@ class HybridScaleFamily:
 
 def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
                   S: Sequence[int]) -> HybridScaleFamily:
-    lam_t = tuple(_materialize(ctx, lam))
-    S_t = tuple(sorted({_element(ctx, s, "S member") for s in S}))
+    lam_t = tuple(_materialize(ctx, lam, "lambda"))
+    S_t = tuple(sorted(set(check_ints(S, "S", 0, ctx.q))))
     if 0 not in S_t:
         raise ConditionFail("S must contain 0")
     if eval_poly(h, 0) == 0:
@@ -306,10 +300,10 @@ class TranslatorFamily:
 
 def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
                       G: PolyFq) -> TranslatorFamily:
-    gamma, b = _element(ctx, gamma, "gamma"), _element(ctx, b, "b")
-    if gamma == 0:
+    if check_int(gamma, "gamma", 0, ctx.q) == 0:
         raise GammaZero("gamma must be nonzero")
-    lam_t = tuple(_materialize(ctx, lam))
+    check_int(b, "b", 0, ctx.q)
+    lam_t = tuple(_materialize(ctx, lam, "lambda"))
     S = tuple(sorted(set(lam_t)))
     S_set = set(S)
     G_on_S = {}
@@ -393,7 +387,7 @@ class GenericDiagram:
 def build_phi_add(P: PermTable, lam: MapLike) -> PhiMap:
     """phi(x) = (lam(x), P(x) - lam(x)); phi^{-1}(y, z) = P^{-1}(y + z)."""
     ctx = P.ctx
-    lam_t = tuple(_materialize(ctx, lam))
+    lam_t = tuple(_materialize(ctx, lam, "lambda"))
     P_inv = brute_inverse(P)
     second = tuple(ctx.sub(P[x], lam_t[x]) for x in ctx.elements())
     return PhiMap(lam_t, second,
@@ -404,7 +398,7 @@ def build_phi_mul(P: PermTable, lam: MapLike) -> PhiMap:
     """phi(x) = (lam(x), P(x / lam(x))) for nowhere-zero lam;
     phi^{-1}(y, z) = y * P^{-1}(z)."""
     ctx = P.ctx
-    lam_t = tuple(_materialize(ctx, lam))
+    lam_t = tuple(_materialize(ctx, lam, "lambda"))
     for x in ctx.elements():
         if lam_t[x] == 0:
             raise LambdaZero(f"lambda vanishes at {x}", witness=x)
@@ -466,7 +460,9 @@ def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
                 delta: int) -> tuple:
     """Forward table of f(x) = g(x^{q^i} - x + delta) + c*x."""
     e = p_power_degree(ctx, q)
-    c, delta = _element(ctx, c, "c"), _element(ctx, delta, "delta")
+    check_int(i, "i", 0)
+    check_int(c, "c", 0, ctx.q)
+    check_int(delta, "delta", 0, ctx.q)
     return tuple(
         ctx.add(eval_poly(g, ctx.add(ctx.sub(ctx.frob(x, e * i), x), delta)),
                 ctx.mul(c, x))
@@ -484,11 +480,10 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
     h(x) = g(x)^{q^i} - g(x) + c*x + (1-c)*delta.
     """
     e = p_power_degree(ctx, q)
-    c, delta = _element(ctx, c, "c"), _element(ctx, delta, "delta")
+    check_int(c, "c", 0, ctx.q)
+    check_int(delta, "delta", 0, ctx.q)
     m = ctx.n // e
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"i must satisfy 1 <= i <= m-1 = {m - 1}")
-    d = math.gcd(i, m)
+    d = math.gcd(check_int(i, "i", 1, m), m)
     if c == 0 or ctx.frob(c, e * d) != c:
         raise NotInSubfield(
             f"c = {c} is not in GF({q}^{d})^*", witness=c)
@@ -524,45 +519,48 @@ def _poly_param(ctx: FieldCtx, value) -> PolyFq:
     return interpolate(ctx, value)
 
 
-def _map_param(ctx: FieldCtx, value) -> list:
+def _map_param(ctx: FieldCtx, value, name: str) -> Sequence[int]:
     if isinstance(value, str):
         return tabulate(parse_poly_expr(value, ctx))
-    return _materialize(ctx, list(value))
+    return _materialize(ctx, value, name)
 
 
 def family_from_descriptor(doc: dict):
     """Build a family from a JSON descriptor document
     ``{"family": ..., "field": {...}, parameters by name}``; polynomials are
-    grammar strings (or value tables), maps are tables, and scalars that
-    denote field elements must lie in [0, q).  Returns ``(kind, family)``
-    where ``kind`` is the descriptor's family string; the "niu" kind returns
-    a :class:`NiuFamily`.
+    grammar strings (or value tables), maps are tables, scalars are ints
+    (:func:`~ppinv.gf_core.check_int`) and ``g0`` map keys decimal
+    strings.  Returns ``(kind, family)`` where ``kind`` is the descriptor's
+    family string; the "niu" kind returns a :class:`NiuFamily`.
     """
     kind = doc["family"]
     ctx = field_from_json(doc["field"])
     if kind == "mul":
         h = _poly_param(ctx, doc["h"])
-        return kind, mul_family(ctx, int(doc["r"]), int(doc["s"]), h)
+        return kind, mul_family(ctx, doc["r"], doc["s"], h)
     if kind == "add":
-        g = _map_param(ctx, doc["g"])
-        lam = _map_param(ctx, doc["lambda"])
-        lam_bar = _map_param(ctx, doc.get("lambda_bar", doc["lambda"]))
+        g = _map_param(ctx, doc["g"], "g")
+        lam = _map_param(ctx, doc["lambda"], "lambda")
+        lam_bar = _map_param(ctx, doc.get("lambda_bar", doc["lambda"]),
+                             "lambda_bar")
         g0 = doc["g0"]
         if isinstance(g0, str):
             g0_poly = parse_poly_expr(g0, ctx)
             g0 = {s: eval_poly(g0_poly, s) for s in set(lam)}
+        elif isinstance(g0, dict):  # JSON object keys are strings
+            g0 = {int(k): v for k, v in g0.items()}
         return kind, add_family(ctx, g, g0, lam, lam_bar)
     if kind == "hybrid":
         h = _poly_param(ctx, doc["h"])
         k = _poly_param(ctx, doc["k"])
-        lam = _map_param(ctx, doc["lambda"])
+        lam = _map_param(ctx, doc["lambda"], "lambda")
         return kind, hybrid_family(ctx, h, k, lam, doc["S"])
     if kind == "translator":
-        lam = _map_param(ctx, doc["lambda"])
+        lam = _map_param(ctx, doc["lambda"], "lambda")
         G = _poly_param(ctx, doc["G"])
         return kind, translator_family(ctx, lam, doc["gamma"], doc["b"], G)
     if kind == "niu":
         g = _poly_param(ctx, doc["g"])
-        return kind, NiuFamily(ctx, int(doc["q"]), g, int(doc["i"]),
-                               int(doc["c"]), int(doc["delta"]))
+        return kind, NiuFamily(ctx, doc["q"], g, doc["i"], doc["c"],
+                               doc["delta"])
     raise ValueError(f"unknown family kind {kind!r}")

@@ -33,12 +33,6 @@ class _UsageError(Exception):
     pass
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized instance generation")
-
-
 def _add_field_args(sub):
     sub.add_argument("--p", type=int)
     sub.add_argument("--n", type=int, default=1)
@@ -140,11 +134,10 @@ def _cmd_agw_verify(args) -> tuple:
     pairs = doc["g"]
     if not (isinstance(pairs, list)
             and all(isinstance(pair, list) and len(pair) == 2
-                    and all(type(v) is int for v in pair) for pair in pairs)):
-        raise ValueError("g must be a list of [s, g(s)] integer pairs")
-    g = dict(pairs)
+                    for pair in pairs)):
+        raise ValueError("g must be a list of [s, g(s)] pairs")
     diagram = agw_diagram(ctx, doc["f"], doc["lambda"], doc["lambda_bar"],
-                          g, doc["S"], doc["S_bar"])
+                          pairs, doc["S"], doc["S_bar"])
     return 0, agw_verify(diagram).to_json()
 
 
@@ -155,8 +148,6 @@ def _cmd_interpolate(args) -> tuple:
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             table = json.load(fh)
-        if not isinstance(table, list):
-            raise ValueError("the table file must hold a JSON array")
     else:
         table = [int(v) for v in args.table.split(",")]
     poly = interpolate(ctx, table)
@@ -170,29 +161,21 @@ def _cmd_search(args) -> tuple:
         raise _UsageError("--limit must be positive")
     ctx = _field_from_args(args)
     q = ctx.q
-    divisors = [s for s in range(1, q) if (q - 1) % s == 0]
-    examined = 0
-    found = []
-    exhausted = True
     # deterministic lexicographic scan over (s, r, h) with deg h <= 2
-    for s in divisors:
-        for r in range(1, q):
-            for coeffs in itertools.product(range(q), repeat=3):
-                if not any(coeffs):
-                    continue
-                if examined >= args.limit:
-                    exhausted = False
-                    break
-                examined += 1
-                try:
-                    fam = mul_family(ctx, r, s, make_poly(ctx, coeffs))
-                except PPInvError:
-                    continue
-                found.append({"r": r, "s": s, "h": print_poly(fam.h)})
-            if not exhausted:
-                break
-        if not exhausted:
-            break
+    candidates = ((s, r, coeffs)
+                  for s in range(1, q) if (q - 1) % s == 0
+                  for r in range(1, q)
+                  for coeffs in itertools.product(range(q), repeat=3)
+                  if any(coeffs))
+    examined, found = 0, []
+    for s, r, coeffs in itertools.islice(candidates, args.limit):
+        examined += 1
+        try:
+            fam = mul_family(ctx, r, s, make_poly(ctx, coeffs))
+        except PPInvError:
+            continue
+        found.append({"r": r, "s": s, "h": print_poly(fam.h)})
+    exhausted = next(candidates, None) is None
     return 0, {"family": "mul", "seed": args.seed, "limit": args.limit,
                "examined": examined, "exhausted": exhausted, "found": found}
 
@@ -206,13 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("field", help="print a field summary")
     _add_field_args(sub)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_field)
 
     sub = subs.add_parser("check-pp",
                           help="test whether an expression permutes F_q")
     _add_field_args(sub)
-    _add_common(sub)
     sub.add_argument("--expr", required=True)
     sub.set_defaults(handler=_cmd_check_pp)
 
@@ -222,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
             name, help=f"family {name} analysis (inline mul flags or a "
                        "descriptor file)")
         _add_field_args(sub)
-        _add_common(sub)
         sub.add_argument("--family",
                          choices=("mul", "add", "hybrid", "translator",
                                   "niu"))
@@ -234,14 +214,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("agw-verify",
                           help="verify a commutative diagram file")
-    _add_common(sub)
     sub.add_argument("--file", required=True, help="diagram JSON file")
     sub.set_defaults(handler=_cmd_agw_verify)
 
     sub = subs.add_parser("interpolate",
                           help="value table to polynomial")
     _add_field_args(sub)
-    _add_common(sub)
     sub.add_argument("--table", help="comma-separated images by index")
     sub.add_argument("--file", help="JSON array of images")
     sub.set_defaults(handler=_cmd_interpolate)
@@ -250,12 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="bounded exhaustive search for valid family "
                                "instances")
     _add_field_args(sub)
-    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=0, help="echoed back")
     sub.add_argument("--family", default="mul")
     sub.add_argument("--limit", type=int, required=True,
                      help="maximum number of candidates examined")
     sub.set_defaults(handler=_cmd_search)
 
+    for sub in subs.choices.values():  # every subcommand prints a report
+        sub.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 

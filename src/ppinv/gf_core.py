@@ -8,6 +8,10 @@ multiplicative identity, and all I/O (JSON, CLI) uses this encoding.
 A :class:`FieldCtx` freezes the modulus and discrete exp/log tables, so
 multiplication, inversion and powering are one table lookup each, for every
 field up to the enumeration bound.
+:func:`check_int` and its sequence form :func:`check_ints` are the one
+boundary rule for every number the library takes in: an ``int`` that is not
+a ``bool``, within its bounds (an element lies in ``[0, q)``), never
+coerced; anything else raises ``ValueError``.
 :func:`unit_dft` is the Fourier transform on F_q^* in the coordinates of
 those tables.
 Everything here is a pure function of immutable inputs; contexts can be
@@ -27,6 +31,34 @@ from .errors import (CertificationFailed, NotCoprime, NotDivisor, NotPrime,
 # The largest field accepted: every answer is certified by enumerating
 # F_q, and the exp/log tables of GF(2^20) take about 100 MB.
 DEFAULT_ENUM_BOUND = 1 << 20
+
+
+def check_int(value, name: str, lo: Optional[int] = None,
+              hi: Optional[int] = None) -> int:
+    """Return ``value`` if it is an ``int``, not a ``bool``, with lo <= value
+    < hi (a bound that is None is open); raise ``ValueError`` otherwise.
+    Nothing is coerced: 1.5, "3" and True are refused, not read as 1, 3, 1.
+    """
+    if (type(value) is not int or lo is not None and value < lo
+            or hi is not None and value >= hi):
+        bound = ("" if lo is None else f" >= {lo}" if hi is None
+                 else f" in [{lo}, {hi})")
+        raise ValueError(f"{name} = {value!r:.60} is out of range: expected "
+                         f"an int{bound}")
+    return value
+
+
+def check_ints(values, name: str, lo: int, hi: int):
+    """The sequence form of :func:`check_int`: ``values`` must be a list or
+    tuple of ints in [lo, hi), and is returned unchanged."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} = {values!r:.60} is out of range: expected "
+                         f"a list of ints in [{lo}, {hi})")
+    kind, exact = type, int  # locals: this loop runs over whole tables
+    for v in values:
+        if kind(v) is not exact or v < lo or v >= hi:
+            check_int(v, f"{name} member", lo, hi)  # raises
+    return values
 
 
 def _is_prime(m: int) -> bool:
@@ -128,7 +160,8 @@ class FieldCtx:
     Not constructed directly; use :func:`build_field`.  For speed the
     arithmetic does not check its arguments: every element passed in must
     be an int in [0, q) (a negative one silently reads the tables from the
-    end).  The public constructors range-check their inputs instead.
+    end).  The public constructors pass their inputs through the one
+    boundary rule, :func:`check_int`/:func:`check_ints`, instead.
     """
 
     __slots__ = ("spec", "p", "n", "q", "modulus", "_mask", "_exp", "_log")
@@ -293,22 +326,18 @@ def build_field(p: int, n: int = 1,
     irreducible of degree n over F_p (coefficients compared low-to-high) is
     selected, so construction is reproducible without polynomial tables.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not _is_prime(check_int(p, "p")):
         raise NotPrime(f"p = {p} is not prime")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"extension degree must be a positive integer, got {n}")
-    q = p ** n
+    q = p ** check_int(n, "n", 1)
     if q > DEFAULT_ENUM_BOUND:
         raise TooLarge(f"q = {q} exceeds the enumeration bound "
                        f"{DEFAULT_ENUM_BOUND}")
     if modulus is None:
         modulus = _default_modulus(p, n)
     else:
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(check_ints(modulus, "modulus", 0, p))
         if len(modulus) != n + 1:
             raise ValueError(f"modulus must have degree {n} (length {n + 1})")
-        if any(c < 0 or c >= p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         if not _is_irreducible(modulus, p):
@@ -377,7 +406,7 @@ def _dft(vals: list, step: int, primes: tuple, add, exp: list,
 def p_power_degree(ctx: FieldCtx, base: int) -> int:
     """The e >= 1 with base = p^e, requiring e | n: the degree of the
     subfield GF(base) of GF(p^n)."""
-    e, b = 0, base
+    e, b = 0, check_int(base, "q", 1)
     while b > 1 and b % ctx.p == 0:
         b //= ctx.p
         e += 1
@@ -437,4 +466,4 @@ def field_to_json(ctx: FieldCtx) -> dict:
 
 def field_from_json(doc: dict) -> FieldCtx:
     """Build a field from ``{"p": int, "n": int, "modulus": [int,...]?}``."""
-    return build_field(int(doc["p"]), int(doc.get("n", 1)), doc.get("modulus"))
+    return build_field(doc["p"], doc.get("n", 1), doc.get("modulus"))

@@ -14,7 +14,8 @@ from .errors import (BadK, CertificationFailed, ConditionFail, GammaZero,
 from .agw_inverse import (AddFamily, HybridScaleFamily, MulFamily,
                           TranslatorFamily, _small_inverse, add_family,
                           mul_family, translator_family)
-from .gf_core import FieldCtx, p_power_degree, rel_trace, subfield_elements
+from .gf_core import (FieldCtx, check_int, check_ints, p_power_degree,
+                      rel_trace, subfield_elements)
 from .poly_expr import PolyFq, eval_poly, make_poly
 
 
@@ -189,10 +190,10 @@ def make_kuozhan(ctx: FieldCtx, q: int, k: int, gamma: int,
     e = p_power_degree(ctx, q)
     if ctx.n != 2 * e:
         raise ValueError(f"context must be GF(q^2) = GF({q * q})")
-    if not isinstance(k, int) or k < 1 or math.gcd(k, q + 1) != 1:
+    if check_int(k, "k") < 1 or math.gcd(k, q + 1) != 1:
         raise BadK(f"k = {k} must be positive with gcd(k, q+1) = 1")
     for name, val in (("gamma", gamma), ("beta", beta)):
-        if val == 0 or ctx.frob(val, e) != val:
+        if check_int(val, name, 0, ctx.q) == 0 or ctx.frob(val, e) != val:
             raise NotInSubfield(f"{name} = {val} is not in GF({q})^*",
                                 witness=val)
     if _intermediate_trace(ctx, beta, e) != 0:
@@ -249,13 +250,16 @@ def make_zero_translator(ctx: FieldCtx, q: int, beta_coeffs, G: PolyFq,
     n = ctx.n // e
     if n < 2:
         raise ValueError("extension degree over GF(q) must be at least 2")
+    check_int(gamma, "gamma", 0, ctx.q)
     if isinstance(beta_coeffs, Mapping):
-        beta = {(int(i), int(j)): int(v) for (i, j), v in beta_coeffs.items()}
-        if not all(1 <= i < j <= n for i, j in beta):
+        beta = {tuple(check_ints(ij, "beta index", 1, n + 1)):
+                check_int(v, "beta", 0, ctx.q)
+                for ij, v in beta_coeffs.items()}
+        if not all(i < j for i, j in beta):
             raise ValueError("double-indexed beta keys must satisfy "
                              "1 <= i < j <= n")
     else:
-        seq = [int(v) for v in beta_coeffs]
+        seq = check_ints(beta_coeffs, "beta", 0, ctx.q)
         if len(seq) != n - 1:
             raise ValueError(f"expected {n - 1} beta coefficients, "
                              f"got {len(seq)}")

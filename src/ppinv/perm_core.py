@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (CertificationFailed, CtxMismatch, NotBijective,
                      SizeMismatch)
-from .gf_core import FieldCtx
+from .gf_core import FieldCtx, check_int, check_ints
 from .poly_expr import PolyFq, tabulate
 
 
@@ -56,20 +56,19 @@ class CycleType:
 MapLike = Union[PolyFq, Sequence[int], Callable[[int], int]]
 
 
-def _materialize(ctx: FieldCtx, mapping: MapLike) -> list:
+def _materialize(ctx: FieldCtx, mapping: MapLike,
+                 name: str = "map") -> Sequence[int]:
+    """The image table of a map; a list or tuple is returned, not copied."""
     if isinstance(mapping, PolyFq):
         if mapping.ctx != ctx:
             raise CtxMismatch("polynomial belongs to a different field")
         return tabulate(mapping)
     if callable(mapping):
-        images = [mapping(x) for x in ctx.elements()]
-    else:
-        images = list(mapping)
+        mapping = [mapping(x) for x in ctx.elements()]
+    images = check_ints(mapping, name, 0, ctx.q)
     if len(images) != ctx.q:
-        raise ValueError(f"map has length {len(images)}, expected q = {ctx.q}")
-    for v in images:
-        if not 0 <= v < ctx.q:
-            raise ValueError(f"image {v} out of range")
+        raise ValueError(f"{name} has length {len(images)}, expected "
+                         f"q = {ctx.q}")
     return images
 
 
@@ -162,31 +161,26 @@ class AgwDiagram:
     S_bar: tuple
 
 
-def _element_set(ctx: FieldCtx, values, name: str) -> tuple:
-    if not (isinstance(values, (list, tuple))
-            and all(type(v) is int and 0 <= v < ctx.q for v in values)):
-        raise ValueError(f"{name} must be a list of integers in [0, {ctx.q})")
-    return tuple(sorted(set(values)))
-
-
 def agw_diagram(ctx: FieldCtx, f: MapLike, lam: MapLike, lam_bar: MapLike,
-                g: Mapping, S: Sequence[int], S_bar: Sequence[int]) -> AgwDiagram:
+                g: Union[Mapping, Sequence], S: Sequence[int],
+                S_bar: Sequence[int]) -> AgwDiagram:
     """Validate shapes and build a diagram.  f may be any total map (the
-    verifier reports bijectivity rather than requiring it)."""
-    f_t = tuple(_materialize(ctx, f))
-    lam_t = tuple(_materialize(ctx, lam))
-    bar_t = tuple(_materialize(ctx, lam_bar))
-    S_t, Sb_t = _element_set(ctx, S, "S"), _element_set(ctx, S_bar, "S_bar")
+    verifier reports bijectivity rather than requiring it); g is a mapping
+    or a sequence of (s, g(s)) pairs."""
+    q = ctx.q
+    f_t = tuple(_materialize(ctx, f, "f"))
+    lam_t = tuple(_materialize(ctx, lam, "lambda"))
+    bar_t = tuple(_materialize(ctx, lam_bar, "lambda_bar"))
+    S_t = tuple(sorted(set(check_ints(S, "S", 0, q))))
+    Sb_t = tuple(sorted(set(check_ints(S_bar, "S_bar", 0, q))))
     if not set(lam_t) <= set(S_t):
         raise ValueError("lambda maps outside the declared S")
     if not set(bar_t) <= set(Sb_t):
         raise ValueError("lambda_bar maps outside the declared S_bar")
-    g_d = {int(k): int(v) for k, v in g.items()}
+    g_d = {check_int(k, "g key", 0, q): check_int(v, "g value", 0, q)
+           for k, v in (g.items() if isinstance(g, Mapping) else g)}
     if set(g_d) != set(S_t):
         raise ValueError("g must be defined on exactly the elements of S")
-    for v in g_d.values():
-        if not 0 <= v < ctx.q:
-            raise ValueError(f"g value {v} out of range")
     return AgwDiagram(ctx, f_t, lam_t, bar_t, g_d, S_t, Sb_t)
 
 

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 from .errors import (BadTraceDegree, CertificationFailed, ConstantOutOfRange,
                      CtxMismatch, LengthMismatch, PolySyntaxError, Singular)
-from .gf_core import FieldCtx, p_power_degree, unit_dft
+from .gf_core import FieldCtx, check_ints, p_power_degree, unit_dft
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,11 @@ class PolyFq:
 
 
 def make_poly(ctx: FieldCtx, coeffs: Sequence[int]) -> PolyFq:
-    cs = list(coeffs)
-    for c in cs:
-        if not 0 <= c < ctx.q:
-            raise ValueError(f"coefficient {c} out of range for q = {ctx.q}")
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return PolyFq(ctx, tuple(cs))
+    cs = tuple(check_ints(coeffs, "coefficients", 0, ctx.q))
+    end = len(cs)
+    while end and cs[end - 1] == 0:
+        end -= 1
+    return PolyFq(ctx, cs[:end])
 
 
 def zero(ctx: FieldCtx) -> PolyFq:
@@ -213,12 +211,8 @@ def interpolate(ctx: FieldCtx, table: Sequence[int]) -> PolyFq:
     :class:`CertificationFailed` with the first failing x as witness.
     """
     q = ctx.q
-    if len(table) != q:
+    if len(check_ints(table, "table", 0, q)) != q:
         raise LengthMismatch(f"table has length {len(table)}, expected q = {q}")
-    for v in table:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
-            raise ValueError(f"table entry {v!r} is not an element of "
-                             f"GF({q})")
     f0 = table[0]
     V = unit_dft(ctx, table)
     coeffs = ([f0] + [ctx.neg(v) for v in V[1:]]
@@ -444,13 +438,10 @@ class LinearizedPoly:
 
 def linearized(ctx: FieldCtx, base: int, coeffs: Sequence[int]) -> LinearizedPoly:
     m = ctx.n // p_power_degree(ctx, base)
-    cs = list(coeffs)
+    cs = list(check_ints(coeffs, "coefficients", 0, ctx.q))
     if len(cs) > m:
         raise ValueError(f"at most {m} coefficients allowed over base {base}")
     cs += [0] * (m - len(cs))
-    for c in cs:
-        if not 0 <= c < ctx.q:
-            raise ValueError(f"coefficient {c} out of range")
     return LinearizedPoly(ctx, base, tuple(cs))
 
 

@@ -9,14 +9,16 @@ import sys
 
 import pytest
 
-from ppinv import (GenericDiagram, PhiMap, add_family, as_permutation,
-                   brute_inverse, build_phi_add, build_phi_mul,
-                   closed_form_mul, family_from_descriptor, generic_inverse,
-                   hybrid_family, identity_table, invert_additive,
-                   invert_hybrid_scale, invert_multiplicative, invert_niu,
-                   invert_translator, invert_translator_linear, linearized,
-                   linearized_inverse, linearized_tabulate, make_poly,
-                   mul_family, niu_forward, parse_poly_expr, rel_trace,
+from ppinv import (GenericDiagram, PhiMap, add_family, agw_diagram,
+                   as_permutation, brute_inverse, build_field, build_phi_add,
+                   build_phi_mul, closed_form_mul, family_from_descriptor,
+                   generic_inverse, hybrid_family, identity_table,
+                   invert_additive, invert_hybrid_scale,
+                   invert_multiplicative, invert_niu, invert_translator,
+                   invert_translator_linear, linearized, linearized_inverse,
+                   linearized_tabulate, make_kuozhan, make_poly,
+                   make_zero_translator, mul_family, niu_forward,
+                   p_power_degree, parse_poly_expr, rel_trace,
                    translator_family)
 from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
                           GammaZero, HVanishes, HVanishesOnImage, LambdaZero,
@@ -693,14 +695,17 @@ class TestElementRanges:
     -1 would read the log table from the end and 16 past it)."""
 
     @pytest.mark.parametrize("gamma,b", [(-1, 16), (16, 1), (1, -1),
-                                         (1, 16)])
+                                         (1, 16), (1.5, 1), (True, 1),
+                                         ("3", 1), ([2], 1), (None, 1),
+                                         (1, 1.0)])
     def test_translator(self, gamma, b):
         ctx = field_of(16)
         with pytest.raises(ValueError, match="out of range"):
             translator_family(ctx, trace_table(ctx, 1), gamma, b,
                               parse_poly_expr("x", ctx))
 
-    @pytest.mark.parametrize("S", [[0, 1, -1], [0, 1, 16]])
+    @pytest.mark.parametrize("S", [[0, 1, -1], [0, 1, 16], [0, 1, 2.0],
+                                   [0, True]])
     def test_hybrid(self, S):
         ctx = field_of(16)
         with pytest.raises(ValueError, match="S member"):
@@ -708,19 +713,51 @@ class TestElementRanges:
                           parse_poly_expr("x", ctx), trace_table(ctx, 1), S)
 
     @pytest.mark.parametrize("g0", [{0: -3, 1: 0}, {0: 0, 1: 16},
-                                    {0: 0, 1: 0, -1: 0}, {0: 0, 1: 0, 16: 0}])
+                                    {0: 0, 1: 0, -1: 0}, {0: 0, 1: 0, 16: 0},
+                                    {0: 0, 1: 1.5}, {0: 0, 1.0: 0},
+                                    {"0": 0, "1": 0}, [0, 1]])
     def test_add(self, g0):
         ctx = field_of(16)
         lam = trace_table(ctx, 1)
         with pytest.raises(ValueError, match="g0"):
             add_family(ctx, list(range(16)), g0, lam, lam)
 
-    @pytest.mark.parametrize("c,delta", [(1, -1), (1, 16), (-1, 0), (16, 0)])
+    @pytest.mark.parametrize("c,delta", [(1, -1), (1, 16), (-1, 0), (16, 0),
+                                         (1.9, 0), (None, 0), ("1", 0),
+                                         (1, 0.0)])
     @pytest.mark.parametrize("build", [invert_niu, niu_forward])
     def test_niu(self, build, c, delta):
         ctx = field_of(16)
         with pytest.raises(ValueError, match="out of range"):
             build(ctx, 4, parse_poly_expr("x", ctx), 1, c, delta)
+
+    @pytest.mark.parametrize("call", [
+        lambda ctx: make_poly(ctx, [1.5]),
+        lambda ctx: make_poly(ctx, [0, True]),
+        lambda ctx: make_kuozhan(ctx, 4, 1, 17, 1),
+        lambda ctx: make_kuozhan(ctx, 4, 1, 1, 1.0),
+        lambda ctx: make_kuozhan(ctx, 4, 1.0, 1, 1),
+        lambda ctx: make_zero_translator(
+            ctx, 2, [1, 0, 0], parse_poly_expr("x", ctx), 17),
+        lambda ctx: make_zero_translator(
+            ctx, 2, [1, 0, 0.0], parse_poly_expr("x", ctx), 1),
+        lambda ctx: mul_family(ctx, True, 1, parse_poly_expr("1", ctx)),
+        lambda ctx: mul_family(ctx, 1, 3.0, parse_poly_expr("1", ctx)),
+        lambda ctx: invert_niu(ctx, 4, parse_poly_expr("x", ctx), 1.0, 1, 0),
+        lambda ctx: linearized(ctx, 4, [1.5]),
+        lambda ctx: p_power_degree(ctx, 4.0),
+        lambda ctx: translator_family(ctx, [0.0] * 16, 1, 0,
+                                      parse_poly_expr("x", ctx)),
+        lambda ctx: agw_diagram(ctx, list(range(16)), [0] * 16, [0] * 16,
+                                {0: 0.0}, [0], [0]),
+        lambda ctx: build_field(7.9),
+        lambda ctx: build_field(True),
+        lambda ctx: build_field(2, True),
+        lambda ctx: build_field(2, 2, [1, 1, 1.0])])
+    def test_library_scalars(self, call):
+        # nothing is coerced: a float, a bool or a string is not an int
+        with pytest.raises(ValueError, match="out of range"):
+            call(field_of(16))
 
 
 def _tampered(fam):

@@ -1,15 +1,22 @@
 """Command-line surface: subcommands, exit codes, JSON schemas,
 deterministic output, and the documented golden invocations."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppinv import cli
+from ppinv import cli, parse_poly_expr, tabulate
 from ppinv.errors import CertificationFailed
+
+from helpers import field_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -184,6 +191,22 @@ class TestErrorsAndExitCodes:
         code, _, _ = run_cli("field", "--p", "5", "--wat")
         assert code == 2
 
+    def test_seed_is_a_search_option_only(self, capsys):
+        # --seed is read by search alone, which echoes it in its report
+        assert run_cli("field", "--p", "2", "--seed", "1")[0] == 2
+        for argv in (["check-pp", "--p", "2", "--expr", "x"],
+                     ["invert", "--family", "mul", "--p", "7", "--r", "1",
+                      "--s", "3", "--h", "3"],
+                     ["involution", "--file", str(GOLDEN / "kuozhan_q4.json")],
+                     ["agw-verify", "--file", "diagram.json"],
+                     ["interpolate", "--p", "2", "--table", "0,1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.run([*argv, "--seed", "1"])
+            assert exc.value.code == 2
+        assert cli.run(["search", "--p", "2", "--limit", "1",
+                        "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("invert", "--file", "/nonexistent.json")
         assert code == 2
@@ -209,6 +232,25 @@ class TestErrorsAndExitCodes:
          "lambda": "Tr{1}(x)", "g0": {"0": 0, "1": 4}},
         {"family": "add", "field": {"p": 2, "n": 2}, "g": "x",
          "lambda": "Tr{1}(x)", "g0": {"0": 0, "1": 0, "-1": 0}},
+        # nothing is coerced: a float, a bool, a string, null or a list
+        # is no integer
+        *({"family": "translator", "field": {"p": 3, "n": 2},
+           "lambda": "Tr{1}(x)", "gamma": gamma, "b": 1, "G": "x"}
+          for gamma in (1.5, True, "3", [2], None)),
+        *({"family": "niu", "field": {"p": 3, "n": 2}, "g": "x",
+           "q": 3, "i": 1, "c": 1, "delta": 0, **bad}
+          for bad in ({"c": None}, {"c": 1.9}, {"q": 4.2}, {"q": 3.0},
+                      {"i": 1.0}, {"delta": False})),
+        {"family": "mul", "field": {"p": 7}, "r": 1.7, "s": 3, "h": "x^2"},
+        {"family": "mul", "field": {"p": 7.9}, "r": 1, "s": 3, "h": "x^2"},
+        {"family": "mul", "field": {"p": 7, "n": 1.0}, "r": 1, "s": 3,
+         "h": "x^2"},
+        {"family": "hybrid", "field": {"p": 3, "n": 2},
+         "h": "x^2 + 1", "k": "x^2", "lambda": "x^4", "S": 5},
+        {"family": "add", "field": {"p": 2, "n": 2}, "g": "x",
+         "lambda": "Tr{1}(x)", "g0": [0, 1]},
+        {"family": "add", "field": {"p": 2, "n": 2}, "g": [0, 1, 2, 3.0],
+         "lambda": "Tr{1}(x)", "g0": "x"},
     ])
     def test_out_of_range_descriptor_scalar_exit_2(self, tmp_path, capsys,
                                                    doc):
@@ -262,7 +304,8 @@ class TestErrorsAndExitCodes:
         {"lambda": [0, 1, 1], "S": [0, 1, -1],
          "g": [[0, 0], [1, 1], [-1, 2]]},
         {"S_bar": [0, 1, 2.0]}, {"S": [False, 1, 2]}, {"S_bar": "012"},
-        {"S": {"0": 0, "1": 1, "2": 2}}])
+        {"S": {"0": 0, "1": 1, "2": 2}}, {"f": [0, 1.5, 2]},
+        {"lambda": [0, 1, 2.0]}, {"lambda_bar": 5}])
     def test_malformed_agw_sets_exit_2(self, tmp_path, capsys, override):
         doc = {"field": {"p": 3, "n": 1}, "f": [0, 1, 2],
                "lambda": [0, 1, 2], "lambda_bar": [0, 1, 2],
@@ -335,6 +378,15 @@ class TestSearchAndFormats:
         first = doc["found"][0]
         assert first == {"r": 1, "s": 1, "h": "1"}
 
+    @pytest.mark.parametrize("limit,exhausted", [(6, False), (7, True),
+                                                 (8, True)])
+    def test_search_exhausted_at_the_bound(self, capsys, limit, exhausted):
+        # GF(2) has exactly 7 candidates: s = r = 1 and the 7 nonzero h
+        assert cli.run(["search", "--p", "2", "--limit", str(limit)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["examined"] == min(limit, 7)
+        assert doc["exhausted"] is exhausted
+
     def test_search_deterministic(self):
         args = ("search", "--p", "5", "--n", "1", "--limit", "700")
         assert run_cli(*args) == run_cli(*args)
@@ -344,3 +396,72 @@ class TestSearchAndFormats:
                                "--format", "text")
         assert code == 0
         assert "q: 5" in out and "modulus: [0, 1]" in out
+
+
+def _table(q, expr):
+    return tabulate(parse_poly_expr(expr, field_of(q)))
+
+
+# One valid document per family and one diagram; the property test below
+# replaces their integers and lists by drawn values.
+_DOCUMENTS = [
+    ("invert", {"family": "mul", "field": {"p": 7, "n": 1}, "r": 1, "s": 3,
+                "h": _table(7, "x^2")}),
+    ("involution", {"family": "add", "field": {"p": 2, "n": 2},
+                    "g": [0, 1, 2, 3], "lambda": _table(4, "Tr{1}(x)"),
+                    "lambda_bar": _table(4, "Tr{1}(x)"),
+                    "g0": {"0": 0, "1": 0}}),
+    ("invert", {"family": "hybrid", "field": {"p": 3, "n": 2},
+                "h": "x^2 + 1", "k": "x^2", "lambda": _table(9, "x^4"),
+                "S": [0, 1, 2]}),
+    ("invert", {"family": "translator", "field": {"p": 3, "n": 2},
+                "lambda": _table(9, "Tr{1}(x)"), "gamma": 2, "b": 1,
+                "G": "x"}),
+    ("invert", {"family": "niu", "field": {"p": 3, "n": 2}, "q": 3,
+                "g": "x", "i": 1, "c": 1, "delta": 0}),
+    ("agw-verify", {"field": {"p": 3, "n": 1}, "f": [0, 2, 1],
+                    "lambda": [0, 1, 2], "lambda_bar": [0, 1, 2],
+                    "g": [[0, 0], [1, 2], [2, 1]], "S": [0, 1, 2],
+                    "S_bar": [0, 1, 2]}),
+]
+
+
+def _scalars(ints):
+    """In- and out-of-range ints, floats, bools, numeric strings, null and
+    lists: everything a JSON number slot can be handed."""
+    return st.one_of(ints, st.floats(), st.booleans(), ints.map(str),
+                     st.none(), st.lists(st.integers(-1, 9), max_size=2))
+
+
+def _mutate(data, node, ints):
+    if isinstance(node, (int, list)) and data.draw(st.integers(0, 7)) == 0:
+        return data.draw(_scalars(ints))
+    if isinstance(node, dict):
+        # field sizes stay small, so that no large field is built
+        return {k: _mutate(data, v, st.integers(-2, 3) if k == "field"
+                           else ints) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_mutate(data, v, ints) for v in node]
+    return node
+
+
+class TestBoundaryProperty:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    def test_any_number_is_exit_0_1_or_2_without_traceback(self, data):
+        command, doc = data.draw(st.sampled_from(_DOCUMENTS))
+        doc = _mutate(data, doc, st.integers(-2, 20))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.run([command, "--file", str(path)])
+        assert code in (0, 1, 2), (code, doc, err.getvalue())
+        assert "Traceback" not in err.getvalue(), doc
+        if code == 2:
+            assert out.getvalue() == "", doc
+        else:
+            json.loads(out.getvalue())
