@@ -20,8 +20,9 @@ from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
                      NotInjectivePhi, NotInSubfield, NotPermutation,
                      NotTranslator, SquareDoesNotCommute)
-from .gf_core import (FieldCtx, MuSubgroup, check_int, check_ints, ext_gcd,
-                      field_from_json, mu_subgroup, p_power_degree)
+from .gf_core import (FieldCtx, MuSubgroup, check_int, check_ints,
+                      check_object, ext_gcd, field_from_json, mu_subgroup,
+                      p_power_degree)
 from .perm_core import MapLike, PermTable, _materialize, brute_inverse, certify
 from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
                         tabulate)
@@ -533,7 +534,7 @@ def family_from_descriptor(doc: dict):
     strings.  Returns ``(kind, family)`` where ``kind`` is the descriptor's
     family string; the "niu" kind returns a :class:`NiuFamily`.
     """
-    kind = doc["family"]
+    kind = check_object(doc, "descriptor")["family"]
     ctx = field_from_json(doc["field"])
     if kind == "mul":
         h = _poly_param(ctx, doc["h"])

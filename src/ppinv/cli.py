@@ -21,7 +21,8 @@ from .errors import (CertificationFailed, NotBijective, PPInvError,
 from .agw_inverse import (family_from_descriptor, invert_additive,
                           invert_hybrid_scale, invert_multiplicative,
                           invert_niu, invert_translator, mul_family)
-from .gf_core import build_field, field_from_json, field_to_json
+from .gf_core import (build_field, check_object, field_from_json,
+                      field_to_json)
 from .involution_lab import (check_add_involution, check_hybrid_involution,
                              check_mul_involution,
                              check_translator_involution)
@@ -70,7 +71,7 @@ def _load_family(args):
     """Resolve a family from --file, or from inline mul flags."""
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = check_object(json.load(fh), "descriptor")
         if args.family and doc.get("family") != args.family:
             raise _UsageError(
                 f"--family {args.family} does not match the descriptor "
@@ -129,7 +130,7 @@ def _cmd_involution(args) -> tuple:
 
 def _cmd_agw_verify(args) -> tuple:
     with open(args.file, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = check_object(json.load(fh), "diagram")
     ctx = field_from_json(doc["field"])
     pairs = doc["g"]
     if not (isinstance(pairs, list)

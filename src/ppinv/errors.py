@@ -62,8 +62,8 @@ class CtxMismatch(PPInvError):
     pass
 
 
-class LengthMismatch(PPInvError):
-    pass
+class LengthMismatch(PPInvError, ValueError):
+    """A value table of the wrong length: bad input, not a rejection."""
 
 
 class Singular(PPInvError):

@@ -7,7 +7,9 @@ multiplicative identity, and all I/O (JSON, CLI) uses this encoding.
 
 A :class:`FieldCtx` freezes the modulus and discrete exp/log tables, so
 multiplication, inversion and powering are one table lookup each, for every
-field up to the enumeration bound.
+field up to the enumeration bound.  Addition takes one of three branches:
+XOR when p = 2, addition mod p when n = 1, and in every other field (p odd,
+n >= 2) Zech logarithms, a third table beside exp/log.
 :func:`check_int` and its sequence form :func:`check_ints` are the one
 boundary rule for every number the library takes in: an ``int`` that is not
 a ``bool``, within its bounds (an element lies in ``[0, q)``), never
@@ -59,6 +61,15 @@ def check_ints(values, name: str, lo: int, hi: int):
         if kind(v) is not exact or v < lo or v >= hi:
             check_int(v, f"{name} member", lo, hi)  # raises
     return values
+
+
+def check_object(value, name: str) -> dict:
+    """Return ``value`` if it is a dict (a JSON object); raise
+    ``ValueError`` otherwise, as :func:`check_int` does."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} = {value!r:.60} is out of range: expected "
+                         f"an object")
+    return value
 
 
 def _is_prime(m: int) -> bool:
@@ -162,9 +173,17 @@ class FieldCtx:
     be an int in [0, q) (a negative one silently reads the tables from the
     end).  The public constructors pass their inputs through the one
     boundary rule, :func:`check_int`/:func:`check_ints`, instead.
+
+    ``add``, ``sub`` and ``neg`` are XOR when p = 2 and arithmetic mod p
+    when n = 1.  Every odd extension field (p odd, n >= 2) also keeps the
+    Zech logarithms ``_zech[k] = log(1 + g^k)`` (-1 where 1 + g^k = 0; g
+    is ``_exp[1]``), one more list of q - 1 ints, so that they are table
+    lookups there too (Lidl & Niederreiter, *Finite Fields*); elsewhere
+    ``_zech`` is None.
     """
 
-    __slots__ = ("spec", "p", "n", "q", "modulus", "_mask", "_exp", "_log")
+    __slots__ = ("spec", "p", "n", "q", "modulus", "_mask", "_exp", "_log",
+                 "_zech")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -174,6 +193,12 @@ class FieldCtx:
         self.modulus = spec.modulus
         self._mask = self.pack(spec.modulus)  # a bit mask when p = 2
         self._exp, self._log = self._build_log_tables()
+        self._zech = None
+        if self.p != 2 and self.n > 1:
+            # 1 + x changes only the lowest base-p digit of a packed x
+            p, log = self.p, self._log
+            self._zech = [log[x + 1 - p if x % p == p - 1 else x + 1]
+                          for x in self._exp]
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.spec == other.spec
@@ -207,17 +232,23 @@ class FieldCtx:
             return a ^ b
         if self.n == 1:
             return (a + b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        p = self.p
-        return self.pack([(u + v) % p for u, v in zip(da, db)])
+        if a == 0 or b == 0:
+            return a + b
+        log, qm1 = self._log, self.q - 1
+        la = log[a]
+        # log(a + b) = log a + log(1 + b/a) = log a + Z[log b - log a]
+        z = self._zech[(log[b] - la) % qm1]
+        return self._exp[(la + z) % qm1] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.n == 1:
             return (-a) % self.p
-        p = self.p
-        return self.pack([(-u) % p for u in self.digits(a)])
+        if a == 0:
+            return 0
+        qm1 = self.q - 1
+        return self._exp[(self._log[a] + qm1 // 2) % qm1]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -326,12 +357,16 @@ def build_field(p: int, n: int = 1,
     irreducible of degree n over F_p (coefficients compared low-to-high) is
     selected, so construction is reproducible without polynomial tables.
     """
-    if not _is_prime(check_int(p, "p")):
-        raise NotPrime(f"p = {p} is not prime")
-    q = p ** check_int(n, "n", 1)
-    if q > DEFAULT_ENUM_BOUND:
-        raise TooLarge(f"q = {q} exceeds the enumeration bound "
+    check_int(p, "p")
+    check_int(n, "n", 1)
+    # the bound first, so that a huge p or n costs no trial division and no
+    # p ** n: for p >= 2, p^n exceeds 2^20 exactly when p^min(n, 21) does
+    bits = DEFAULT_ENUM_BOUND.bit_length()
+    if p > 1 and p ** min(n, bits) > DEFAULT_ENUM_BOUND:
+        raise TooLarge(f"q = {p}^{n} exceeds the enumeration bound "
                        f"{DEFAULT_ENUM_BOUND}")
+    if not _is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
     if modulus is None:
         modulus = _default_modulus(p, n)
     else:
@@ -466,4 +501,5 @@ def field_to_json(ctx: FieldCtx) -> dict:
 
 def field_from_json(doc: dict) -> FieldCtx:
     """Build a field from ``{"p": int, "n": int, "modulus": [int,...]?}``."""
+    check_object(doc, "field")
     return build_field(doc["p"], doc.get("n", 1), doc.get("modulus"))

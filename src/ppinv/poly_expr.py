@@ -212,7 +212,8 @@ def interpolate(ctx: FieldCtx, table: Sequence[int]) -> PolyFq:
     """
     q = ctx.q
     if len(check_ints(table, "table", 0, q)) != q:
-        raise LengthMismatch(f"table has length {len(table)}, expected q = {q}")
+        raise LengthMismatch(f"table length {len(table)} is out of range: "
+                             f"expected q = {q}")
     f0 = table[0]
     V = unit_dft(ctx, table)
     coeffs = ([f0] + [ctx.neg(v) for v in V[1:]]

@@ -10,7 +10,9 @@ run over a fixed seed sees the same instances.
 transform; the differential tests compare the two.  :func:`reference_mul`
 is the schoolbook product on base-p digit vectors that ``FieldCtx`` once
 used for every operation above 2^16 elements, and
-:func:`reference_log_tables` the exp/log tables built from it; the field
+:func:`reference_log_tables` the exp/log tables built from it;
+:func:`reference_add` and :func:`reference_neg` are the digit-wise sum and
+negation that odd extension fields used before Zech logarithms.  The field
 tests compare the table arithmetic with them.
 """
 
@@ -81,6 +83,27 @@ def lagrange_interpolate(ctx, table):
             if quot[j]:
                 acc[j] = ctx.add(acc[j], ctx.mul(scale, quot[j]))
     return make_poly(ctx, acc)
+
+
+def reference_add(ctx, a, b):
+    """a + b by adding the base-p digit vectors coefficient-wise."""
+    if ctx.p == 2:
+        return a ^ b
+    if ctx.n == 1:
+        return (a + b) % ctx.p
+    da, db = ctx.digits(a), ctx.digits(b)
+    p = ctx.p
+    return ctx.pack([(u + v) % p for u, v in zip(da, db)])
+
+
+def reference_neg(ctx, a):
+    """-a by negating each base-p digit."""
+    if ctx.p == 2:
+        return a
+    if ctx.n == 1:
+        return (-a) % ctx.p
+    p = ctx.p
+    return ctx.pack([(-u) % p for u in ctx.digits(a)])
 
 
 def reference_mul(ctx, a, b):

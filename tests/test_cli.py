@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,12 @@ class TestErrorsAndExitCodes:
          "lambda": "Tr{1}(x)", "g0": [0, 1]},
         {"family": "add", "field": {"p": 2, "n": 2}, "g": [0, 1, 2, 3.0],
          "lambda": "Tr{1}(x)", "g0": "x"},
+        # a document or field that is no object, and a value table of the
+        # wrong length, are bad input too
+        {"family": "mul", "field": 5, "r": 1, "s": 3, "h": "x^2"},
+        {"family": "mul", "field": [7], "r": 1, "s": 3, "h": "x^2"},
+        [1],
+        {"family": "mul", "field": {"p": 7}, "r": 1, "s": 3, "h": [1, 2]},
     ])
     def test_out_of_range_descriptor_scalar_exit_2(self, tmp_path, capsys,
                                                    doc):
@@ -305,7 +312,8 @@ class TestErrorsAndExitCodes:
          "g": [[0, 0], [1, 1], [-1, 2]]},
         {"S_bar": [0, 1, 2.0]}, {"S": [False, 1, 2]}, {"S_bar": "012"},
         {"S": {"0": 0, "1": 1, "2": 2}}, {"f": [0, 1.5, 2]},
-        {"lambda": [0, 1, 2.0]}, {"lambda_bar": 5}])
+        {"lambda": [0, 1, 2.0]}, {"lambda_bar": 5}, {"field": 3},
+        {"field": [3, 1]}])
     def test_malformed_agw_sets_exit_2(self, tmp_path, capsys, override):
         doc = {"field": {"p": 3, "n": 1}, "f": [0, 1, 2],
                "lambda": [0, 1, 2], "lambda_bar": [0, 1, 2],
@@ -317,6 +325,35 @@ class TestErrorsAndExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "bad input" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["involution", "--file"], ["agw-verify", "--file"],
+        ["field", "--field-file"],
+        ["interpolate", "--table", "0", "--field-file"]])
+    @pytest.mark.parametrize("doc", [[1], 5, "x", None])
+    def test_document_not_an_object_exit_2(self, tmp_path, capsys, argv,
+                                           doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "expected an object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", [
+        {"p": 2 ** 61 - 1},           # a Mersenne prime: no trial division
+        {"p": 2 ** 61 + 1, "n": 1},   # huge and composite: TooLarge too
+        {"p": 3, "n": 10 ** 8},       # no 3^(10^8) is ever built
+        {"p": 2, "n": 21}])
+    def test_field_beyond_the_bound_exit_1_at_once(self, tmp_path, capsys,
+                                                   field):
+        doc = {"family": "mul", "field": field, "r": 1, "s": 1, "h": "1"}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert cli.run(["invert", "--file", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
 
     def test_certification_failure_exit_3(self, monkeypatch, capsys):
         def forged(fam):
@@ -434,7 +471,9 @@ def _scalars(ints):
 
 
 def _mutate(data, node, ints):
-    if isinstance(node, (int, list)) and data.draw(st.integers(0, 7)) == 0:
+    # an object (the document itself, or its "field") may be replaced too
+    if isinstance(node, (int, list, dict)) and \
+            data.draw(st.integers(0, 7)) == 0:
         return data.draw(_scalars(ints))
     if isinstance(node, dict):
         # field sizes stay small, so that no large field is built

@@ -17,8 +17,13 @@ from ppinv import (LinearizedPoly, build_field, ext_gcd, f_inv,
 from ppinv.errors import (NotCoprime, NotDivisor, NotPrime, Reducible,
                           TooLarge)
 
-from helpers import (field_of, prime_powers, reference_log_tables,
-                     reference_mul, reference_pow)
+from helpers import (field_of, prime_powers, reference_add,
+                     reference_log_tables, reference_mul, reference_neg,
+                     reference_pow)
+
+# odd prime powers that are not prime: the fields that add by Zech logarithms
+ODD_EXTENSIONS = [q for q in prime_powers(1024)
+                  if q % 2 and any(q % d == 0 for d in range(3, q, 2))]
 
 
 class TestBuildField:
@@ -52,6 +57,21 @@ class TestBuildField:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             build_field(2, 21)
+
+    @pytest.mark.parametrize("p,n", [(2 ** 61 - 1, 1), (2 ** 61 + 1, 1),
+                                     (3, 10 ** 8), (2, 10 ** 8),
+                                     ((1 << 20) + 7, 1)])
+    def test_bound_tested_before_primality_and_power(self, p, n):
+        # no trial division of a huge p and no p ** n for a huge n: a huge
+        # composite p is TooLarge, not NotPrime
+        with pytest.raises(TooLarge):
+            build_field(p, n)
+
+    @pytest.mark.parametrize("p,n", [(1, 10 ** 8), (0, 3), (-3, 20),
+                                     (-7, 10 ** 8)])
+    def test_no_prime_below_two(self, p, n):
+        with pytest.raises(NotPrime):
+            build_field(p, n)
 
     def test_json_round_trip(self):
         ctx = build_field(2, 3)
@@ -183,6 +203,56 @@ class TestOneTablePath:
             assert ctx.mul(a, b) == reference_mul(ctx, a, b)
             assert reference_mul(ctx, b, ctx.inv(b)) == 1
             assert ctx.pow(b, e) == reference_pow(ctx, b, e % (q - 1))
+
+
+class TestZech:
+    """Odd extension fields add, subtract and negate by Zech logarithms;
+    each agrees with the digit-wise reference it replaced."""
+
+    @staticmethod
+    def _check(ctx, a, b):
+        assert ctx.add(a, b) == reference_add(ctx, a, b), (a, b)
+        assert ctx.sub(a, b) == reference_add(ctx, a, reference_neg(ctx, b))
+
+    @pytest.mark.parametrize("q", [q for q in ODD_EXTENSIONS if q <= 243])
+    def test_exhaustive(self, q):
+        ctx = field_of(q)
+        assert ctx._zech == [ctx._log[reference_add(ctx, 1, x)]
+                             for x in ctx._exp]
+        for a in range(q):
+            assert ctx.neg(a) == reference_neg(ctx, a)
+            for b in range(q):
+                self._check(ctx, a, b)
+
+    @pytest.mark.parametrize("q", ODD_EXTENSIONS)
+    def test_every_element(self, q):
+        # b = -a is the slot where 1 + b/a = 0 and the Zech entry is -1
+        ctx = field_of(q)
+        rng = random.Random(q)
+        for a in range(q):
+            minus_a = reference_neg(ctx, a)
+            assert ctx.neg(a) == minus_a
+            for b in [0, a, minus_a] + [rng.randrange(q) for _ in range(4)]:
+                self._check(ctx, a, b)
+
+    @pytest.mark.parametrize("q", [5 ** 7, 7 ** 6])
+    def test_seeded_pairs_large(self, q):
+        ctx = field_of(q)
+        rng = random.Random(q)
+        for _ in range(2000):
+            a, b = rng.randrange(q), rng.randrange(q)
+            self._check(ctx, a, b)
+            assert ctx.neg(a) == reference_neg(ctx, a)
+
+    @pytest.mark.parametrize("q", [31, 64])
+    def test_other_branches_unchanged(self, q):
+        # prime fields add mod p and 2^k fields by XOR, with no Zech table
+        ctx = field_of(q)
+        assert ctx._zech is None
+        for a in range(q):
+            assert ctx.neg(a) == reference_neg(ctx, a)
+            for b in range(q):
+                self._check(ctx, a, b)
 
 
 class TestRelTrace:
