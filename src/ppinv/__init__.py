@@ -8,17 +8,15 @@ Every inverse returned here has certified itself over the whole field
 
 from .errors import PPInvError
 from .gf_core import (FieldCtx, FieldSpec, MuSubgroup, build_field, ext_gcd,
-                      f_inv, field_from_json, field_to_json, mu_subgroup,
+                      field_from_json, field_to_json, mu_subgroup,
                       p_power_degree, rel_trace, subfield_elements)
-from .poly_expr import (LinearizedPoly, PolyFq, compose, eval_poly,
-                        interpolate, linearized, linearized_eval,
-                        linearized_inverse, linearized_tabulate, make_poly,
-                        parse_poly_expr, print_poly, reduce_mod_field,
-                        tabulate)
+from .poly_expr import (LinearizedPoly, PolyFq, eval_poly, interpolate,
+                        linearized, linearized_eval, linearized_inverse,
+                        linearized_tabulate, make_poly, parse_poly_expr,
+                        print_poly, reduce_mod_field, tabulate)
 from .perm_core import (AgwDiagram, CycleType, PermTable, VerificationReport,
                         agw_diagram, agw_verify, as_permutation,
-                        brute_inverse, certify, compose_tables,
-                        cycle_structure, identity_table, is_identity)
+                        brute_inverse, certify, cycle_structure)
 from .agw_inverse import (AddFamily, GenericDiagram, HybridScaleFamily,
                           MulClosedForm, MulFamily, NiuFamily, PhiMap,
                           TranslatorFamily, add_family, build_phi_add,

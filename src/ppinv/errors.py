@@ -50,12 +50,12 @@ class PolySyntaxError(PPInvError):
         self.position = position
 
 
-class BadTraceDegree(PPInvError):
-    pass
+class BadTraceDegree(PPInvError, ValueError):
+    """A ``Tr{d}`` whose d does not divide n: bad input, not a rejection."""
 
 
-class ConstantOutOfRange(PPInvError):
-    pass
+class ConstantOutOfRange(PPInvError, ValueError):
+    """A constant outside (-q, q): bad input, not a rejection."""
 
 
 class CtxMismatch(PPInvError):

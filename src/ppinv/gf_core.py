@@ -380,13 +380,6 @@ def build_field(p: int, n: int = 1,
     return FieldCtx(FieldSpec(p, n, modulus))
 
 
-def f_inv(ctx: FieldCtx, x: int) -> int:
-    """x^(q-2): the multiplicative inverse for x != 0, with 0 mapped to 0."""
-    if x == 0:
-        return 0
-    return ctx.inv(x)
-
-
 def unit_dft(ctx: FieldCtx, seq: Sequence[int],
              backward: bool = False) -> list:
     """The discrete Fourier transform on the cyclic group F_q^*, unscaled.
@@ -467,13 +460,15 @@ def rel_trace(ctx: FieldCtx, d: int, x: int) -> int:
 
 
 def mu_subgroup(ctx: FieldCtx, ell: int) -> MuSubgroup:
-    """The ell-th roots of unity, by filtering all of F_q^*."""
+    """The ell-th roots of unity: the powers of g^((q-1)/ell) for the
+    table generator g, checked to be ell distinct ell-th roots of 1."""
     if ell < 1 or (ctx.q - 1) % ell != 0:
         raise NotDivisor(f"ell = {ell} does not divide q - 1 = {ctx.q - 1}")
-    elements = tuple(x for x in ctx.units() if ctx.pow(x, ell) == 1)
-    if len(elements) != ell:
-        raise CertificationFailed(f"found {len(elements)} roots of unity, "
-                                  f"expected {ell}")
+    elements = tuple(sorted(ctx._exp[::(ctx.q - 1) // ell]))
+    if len(set(elements)) != ell or any(ctx.pow(z, ell) != 1
+                                         for z in elements):
+        raise CertificationFailed(f"the powers of g^((q-1)/{ell}) are not "
+                                  f"{ell} distinct roots of unity")
     return MuSubgroup(ell, elements)
 
 
@@ -489,10 +484,11 @@ def ext_gcd(s: int, r: int) -> tuple:
 
 
 def subfield_elements(ctx: FieldCtx, d: int) -> tuple:
-    """All elements of the degree-d subfield (fixed points of x -> x^(p^d))."""
+    """All elements of the degree-d subfield, ascending: 0 and the
+    (p^d - 1)-th roots of unity."""
     if d < 1 or ctx.n % d != 0:
         raise NotDivisor(f"subfield degree {d} does not divide n = {ctx.n}")
-    return tuple(x for x in ctx.elements() if ctx.frob(x, d) == x)
+    return (0,) + mu_subgroup(ctx, ctx.p ** d - 1).elements
 
 
 def field_to_json(ctx: FieldCtx) -> dict:

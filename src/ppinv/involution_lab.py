@@ -16,7 +16,8 @@ from .agw_inverse import (AddFamily, HybridScaleFamily, MulFamily,
                           mul_family, translator_family)
 from .gf_core import (FieldCtx, check_int, check_ints, p_power_degree,
                       rel_trace, subfield_elements)
-from .poly_expr import PolyFq, eval_poly, make_poly
+from .poly_expr import (PolyFq, eval_poly, linearized, linearized_eval,
+                        linearized_tabulate, make_poly)
 
 
 @dataclass(frozen=True)
@@ -160,17 +161,6 @@ def check_translator_involution(fam: TranslatorFamily) -> CriterionReport:
     return _report(g_ok, g_wit, aux_ok, aux_wit, fam.f_table)
 
 
-def _intermediate_trace(ctx: FieldCtx, x: int, e: int) -> int:
-    """Trace from GF(2^e) down to GF(2) of an element already lying in the
-    degree-e subfield, computed inside ctx."""
-    acc = 0
-    cur = x
-    for _ in range(e):
-        acc = ctx.add(acc, cur)
-        cur = ctx.frob(cur, 1)
-    return acc
-
-
 def _certified_involution(fam, report: CriterionReport):
     """Return a constructed family once its criterion and the oracle both
     say it is an involution."""
@@ -196,7 +186,8 @@ def make_kuozhan(ctx: FieldCtx, q: int, k: int, gamma: int,
         if check_int(val, name, 0, ctx.q) == 0 or ctx.frob(val, e) != val:
             raise NotInSubfield(f"{name} = {val} is not in GF({q})^*",
                                 witness=val)
-    if _intermediate_trace(ctx, beta, e) != 0:
+    # the trace from GF(q) to GF(2): beta + beta^2 + ... + beta^(2^(e-1))
+    if linearized_eval(linearized(ctx, 2, [1] * e), beta) != 0:
         raise TraceNonzero(
             f"beta = {beta} has nonzero trace onto GF(2)", witness=beta)
     Q = ctx.q
@@ -265,18 +256,13 @@ def make_zero_translator(ctx: FieldCtx, q: int, beta_coeffs, G: PolyFq,
                              f"got {len(seq)}")
         beta = {(i, j): seq[i - 1]
                 for i in range(1, n) for j in range(i + 1, n + 1)}
-    lam = []
-    for x in ctx.elements():
-        frobs = [0] * (n + 1)
-        cur = x
-        for i in range(1, n + 1):
-            cur = ctx.frob(cur, e)
-            frobs[i] = cur
-        acc = 0
-        for (i, j), b in beta.items():
-            if b:
-                acc = ctx.add(acc, ctx.mul(b, ctx.add(frobs[i], frobs[j])))
-        lam.append(acc)
+    # x^(q^n) = x, so lam is linearized over GF(q) with c_k the sum of
+    # the beta_ij whose i or j is k mod n
+    c = [0] * n
+    for (i, j), b in beta.items():
+        for k in (i % n, j % n):
+            c[k] = ctx.add(c[k], b)
+    lam = linearized_tabulate(linearized(ctx, q, c))
     sub = subfield_elements(ctx, e)
     sub_set = set(sub)
     for u in sub:

@@ -86,10 +86,6 @@ def as_permutation(ctx: FieldCtx, mapping: MapLike) -> PermTable:
     return PermTable(ctx, tuple(images))
 
 
-def identity_table(ctx: FieldCtx) -> PermTable:
-    return PermTable(ctx, tuple(ctx.elements()))
-
-
 def brute_inverse(t: PermTable) -> PermTable:
     """The inverse permutation: result[t[i]] = i for every i."""
     inv = [0] * len(t)
@@ -113,17 +109,6 @@ def certify(f_table: Sequence[int], inv: PermTable) -> PermTable:
                 f"inverse fails at x = {x}: f(x) = {y} maps back to "
                 f"{images[y]}", witness=x)
     return inv
-
-
-def compose_tables(outer: PermTable, inner: PermTable) -> PermTable:
-    """(outer o inner)(x) = outer[inner[x]]."""
-    if outer.ctx != inner.ctx:
-        raise CtxMismatch("tables belong to different fields")
-    return PermTable(outer.ctx, tuple(outer.images[y] for y in inner.images))
-
-
-def is_identity(t: PermTable) -> bool:
-    return all(y == x for x, y in enumerate(t.images))
 
 
 def cycle_structure(t: PermTable) -> CycleType:

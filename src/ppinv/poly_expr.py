@@ -1,6 +1,6 @@
 """Polynomial values over GF(q): expression parsing, evaluation,
-composition, reduction modulo x^q - x, interpolation, and
-linearized-polynomial inversion.
+reduction modulo x^q - x, interpolation, and linearized-polynomial
+inversion.
 
 :func:`interpolate` reads closed-form coefficients off the Fourier
 transform on F_q^* (:func:`ppinv.gf_core.unit_dft`), O(q * sum of the prime
@@ -18,13 +18,19 @@ Integer constants denote elements by packed index; a negative constant is
 the additive inverse of its absolute value.  A negative exponent ``-k`` is
 sugar for the exponent in ``[1, q-1]`` congruent to ``-k`` mod ``q-1``,
 which bakes the 0^-k = 0 convention into the resulting polynomial.
+
+Text is evaluated as it is parsed, with no syntax tree in between, so the
+first error in text order is the one reported: a syntax error, a constant
+out of range or a trace degree that does not divide n.  Sums and products
+fold in a loop; parentheses and traces nested too deeply to parse raise
+:class:`PolySyntaxError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import (BadTraceDegree, CertificationFailed, ConstantOutOfRange,
                      CtxMismatch, LengthMismatch, PolySyntaxError, Singular)
@@ -185,17 +191,6 @@ def tabulate(p: PolyFq) -> list:
     return [eval_poly(p, x) for x in p.ctx.elements()]
 
 
-def compose(outer: PolyFq, inner: PolyFq) -> PolyFq:
-    """outer(inner(x)) reduced mod x^q - x."""
-    _require_same_ctx(outer, inner)
-    ctx = outer.ctx
-    acc = zero(ctx)
-    inner = reduce_mod_field(inner)
-    for c in reversed(outer.coeffs):
-        acc = reduce_mod_field(poly_add(poly_mul(acc, inner), constant(ctx, c)))
-    return acc
-
-
 def interpolate(ctx: FieldCtx, table: Sequence[int]) -> PolyFq:
     """The unique polynomial of degree < q through a full value table
     (``table[x]`` is the image of x; every entry an int in [0, q)).
@@ -245,45 +240,15 @@ def print_poly(p: PolyFq) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-# expression AST
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class PowNode:
-    base: "ExprAst"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class TraceNode:
-    degree: int
-    arg: "ExprAst"
-    pos: int = 0
-
-
-ExprAst = Union[Const, Var, BinOp, PowNode, TraceNode]
-
+# expression parser
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the grammar above; each rule returns the
+    polynomial its text denotes, reduced mod x^q - x."""
+
+    def __init__(self, text: str, ctx: FieldCtx):
         self.text = text
+        self.ctx = ctx
         self.pos = 0
 
     def fail(self, message: str):
@@ -302,66 +267,86 @@ class _Parser:
             self.fail(f"expected {ch!r}")
         self.pos += 1
 
-    def parse(self) -> ExprAst:
-        node = self.expr()
+    def parse(self) -> PolyFq:
+        try:
+            poly = self.expr()
+        except RecursionError:
+            # only parentheses and Tr{d}(...) recurse; sums and products
+            # fold in a loop
+            self.fail("expression nested too deeply")
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("unexpected trailing input")
-        return node
+        return poly
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def expr(self) -> PolyFq:
+        acc = self.term()
         while True:
             self.skip_ws()
             op = self.peek()
             if op not in ("+", "-"):
-                return node
+                return acc
             self.pos += 1
-            node = BinOp(op, node, self.term())
+            acc = (poly_add if op == "+" else poly_sub)(acc, self.term())
 
-    def term(self) -> ExprAst:
-        node = self.factor()
+    def term(self) -> PolyFq:
+        acc = self.factor()
         while True:
             self.skip_ws()
             if self.peek() != "*":
-                return node
+                return acc
             self.pos += 1
-            node = BinOp("*", node, self.factor())
+            acc = reduce_mod_field(poly_mul(acc, self.factor()))
 
-    def factor(self) -> ExprAst:
-        node = self.base()
+    def factor(self) -> PolyFq:
+        base = self.base()
         self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            node = PowNode(node, self.int_literal())
-        return node
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        e, q = self.int_literal(), self.ctx.q
+        if e < 0:
+            e = e % (q - 1) or q - 1
+        if base.coeffs == (0, 1):  # x^e needs no repeated squaring
+            return monomial(self.ctx, _fold_exponent(e, q))
+        return poly_pow(base, e)
 
-    def base(self) -> ExprAst:
+    def base(self) -> PolyFq:
         self.skip_ws()
-        ch = self.peek()
+        ch, start, ctx = self.peek(), self.pos, self.ctx
         if ch.isdigit() or ch == "-":
-            start = self.pos
-            return Const(self.int_literal(), start)
+            v = self.int_literal()
+            if abs(v) >= ctx.q:
+                raise ConstantOutOfRange(
+                    f"constant {v} out of range for q = {ctx.q} "
+                    f"(position {start})", witness=v)
+            return constant(ctx, v if v >= 0 else ctx.neg(-v))
         if ch == "x":
             self.pos += 1
-            return Var()
+            return xvar(ctx)
         if ch == "T":
-            start = self.pos
             if not self.text.startswith("Tr", self.pos):
                 self.fail("expected 'Tr'")
             self.pos += 2
             self.expect("{")
             d = self.int_literal()
             self.expect("}")
+            if d < 1 or ctx.n % d != 0:
+                raise BadTraceDegree(
+                    f"trace degree {d} does not divide n = {ctx.n} "
+                    f"(position {start})", witness=d)
             self.expect("(")
-            arg = self.expr()
+            arg = reduce_mod_field(self.expr())
             self.expect(")")
-            return TraceNode(d, arg, start)
+            acc = zero(ctx)
+            for i in range(ctx.n // d):
+                acc = poly_add(acc, poly_frob(arg, d * i))
+            return acc
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            poly = self.expr()
             self.expect(")")
-            return node
+            return poly
         self.fail("expected a constant, 'x', 'Tr{d}(...)' or '('")
 
     def int_literal(self) -> int:
@@ -379,51 +364,12 @@ class _Parser:
         return sign * int(self.text[start:self.pos])
 
 
-def _ast_to_poly(node: ExprAst, ctx: FieldCtx) -> PolyFq:
-    q = ctx.q
-    if isinstance(node, Const):
-        v = node.value
-        if abs(v) >= q:
-            raise ConstantOutOfRange(
-                f"constant {v} out of range for q = {q} (position {node.pos})",
-                witness=v)
-        return constant(ctx, v if v >= 0 else ctx.neg(-v))
-    if isinstance(node, Var):
-        return xvar(ctx)
-    if isinstance(node, BinOp):
-        left = _ast_to_poly(node.left, ctx)
-        right = _ast_to_poly(node.right, ctx)
-        if node.op == "+":
-            return poly_add(left, right)
-        if node.op == "-":
-            return poly_sub(left, right)
-        return reduce_mod_field(poly_mul(left, right))
-    if isinstance(node, PowNode):
-        e = node.exponent
-        if e < 0:
-            e = e % (q - 1) or q - 1
-        if isinstance(node.base, Var):
-            return monomial(ctx, _fold_exponent(e, q)) if e else constant(ctx, 1)
-        return poly_pow(_ast_to_poly(node.base, ctx), e)
-    if isinstance(node, TraceNode):
-        d = node.degree
-        if d < 1 or ctx.n % d != 0:
-            raise BadTraceDegree(
-                f"trace degree {d} does not divide n = {ctx.n} "
-                f"(position {node.pos})", witness=d)
-        arg = reduce_mod_field(_ast_to_poly(node.arg, ctx))
-        acc = zero(ctx)
-        for i in range(ctx.n // d):
-            acc = poly_add(acc, poly_frob(arg, d * i))
-        return acc
-    raise AssertionError(f"unknown AST node {node!r}")
-
-
 def parse_poly_expr(text: str, ctx: FieldCtx) -> PolyFq:
     """Parse an expression into the fully reduced polynomial it denotes as a
-    function on F_q."""
-    ast = _Parser(text).parse()
-    return reduce_mod_field(_ast_to_poly(ast, ctx))
+    function on F_q.  Raises the first error in text order:
+    :class:`PolySyntaxError` (also for nesting too deep to parse),
+    :class:`ConstantOutOfRange` or :class:`BadTraceDegree`."""
+    return reduce_mod_field(_Parser(text, ctx).parse())
 
 
 # linearized (q0-)polynomials

@@ -14,16 +14,25 @@ used for every operation above 2^16 elements, and
 :func:`reference_add` and :func:`reference_neg` are the digit-wise sum and
 negation that odd extension fields used before Zech logarithms.  The field
 tests compare the table arithmetic with them.
+
+:func:`identity_table`, :func:`compose_tables`, :func:`is_identity`,
+:func:`f_inv` and :func:`compose` are small map and polynomial helpers that
+only the tests use.  :func:`expressions` draws random expression trees
+together with a pointwise evaluator that shares no code with the parser.
 """
 
 import math
 import random
 from functools import lru_cache
 
-from ppinv import (add_family, agw_diagram, build_field, hybrid_family,
-                   make_poly, mul_family, rel_trace, subfield_elements,
-                   translator_family)
-from ppinv.errors import LengthMismatch, PPInvError
+from hypothesis import strategies as st
+
+from ppinv import (PermTable, add_family, agw_diagram, build_field,
+                   hybrid_family, make_poly, mul_family, rel_trace,
+                   subfield_elements, translator_family)
+from ppinv.errors import CtxMismatch, LengthMismatch, PPInvError
+from ppinv.poly_expr import (constant, poly_add, poly_mul, reduce_mod_field,
+                             zero)
 
 ACCEPTANCE_FIELDS = (4, 5, 7, 8, 9, 16, 25, 27, 32, 64)
 
@@ -164,6 +173,96 @@ def reference_log_tables(ctx):
         log[cur] = i
         cur = reference_mul(ctx, cur, gen)
     return exp, log
+
+
+def identity_table(ctx):
+    return PermTable(ctx, tuple(ctx.elements()))
+
+
+def compose_tables(outer, inner):
+    """(outer o inner)(x) = outer[inner[x]]."""
+    if outer.ctx != inner.ctx:
+        raise CtxMismatch("tables belong to different fields")
+    return PermTable(outer.ctx, tuple(outer.images[y] for y in inner.images))
+
+
+def is_identity(t):
+    return all(y == x for x, y in enumerate(t.images))
+
+
+def f_inv(ctx, x):
+    """x^(q-2): the multiplicative inverse for x != 0, with 0 mapped to 0."""
+    return 0 if x == 0 else ctx.inv(x)
+
+
+def compose(outer, inner):
+    """outer(inner(x)) reduced mod x^q - x, by Horner's rule."""
+    if outer.ctx != inner.ctx:
+        raise CtxMismatch("polynomials belong to different fields")
+    ctx = outer.ctx
+    acc = zero(ctx)
+    inner = reduce_mod_field(inner)
+    for c in reversed(outer.coeffs):
+        acc = reduce_mod_field(poly_add(poly_mul(acc, inner),
+                                        constant(ctx, c)))
+    return acc
+
+
+def expressions(ctx):
+    """Hypothesis strategy of random expression trees over ctx.
+
+    Each tree is drawn as (text, level, value): its text in the grammar,
+    the precedence level of its outermost rule (0 a sum or difference,
+    1 a product, 2 a power, 3 an atom), and its value at an element x,
+    computed pointwise with ``ctx.neg/add/sub/mul/pow`` and ``rel_trace``.
+    Parentheses appear where precedence needs them and, at random, where
+    it does not; spaces appear at random around operators.
+    """
+    q, n = ctx.q, ctx.n
+    space = st.sampled_from(["", " "])
+    # multiples of q - 1 are where 0^-k = 0 and the folding x^q = x show
+    exponents = st.one_of(st.integers(-2 * q, 3 * q),
+                          st.integers(-3, 3).map(lambda k: k * (q - 1)))
+
+    def paren(tree, level):
+        text, lvl, _ = tree
+        return text if lvl >= level else f"({text})"
+
+    def const(v):
+        return str(v), 3, lambda x: v if v >= 0 else ctx.neg(-v)
+
+    def sum_(args):
+        op, a, b, w = args
+        fn = ctx.add if op == "+" else ctx.sub
+        return (f"{paren(a, 0)}{w}{op}{w}{paren(b, 1)}", 0,
+                lambda x: fn(a[2](x), b[2](x)))
+
+    def product(args):
+        a, b, w = args
+        return (f"{paren(a, 1)}{w}*{w}{paren(b, 2)}", 1,
+                lambda x: ctx.mul(a[2](x), b[2](x)))
+
+    def power(args):
+        # ctx.pow has 0^0 = 1 and 0^-k = 0, the grammar's conventions
+        a, e, w = args
+        return (f"{paren(a, 3)}{w}^{w}{e}", 2,
+                lambda x: ctx.pow(a[2](x), e))
+
+    def trace(args):
+        d, a = args
+        return f"Tr{{{d}}}({a[0]})", 3, lambda x: rel_trace(ctx, d, a[2](x))
+
+    def extend(trees):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-"), trees, trees, space).map(sum_),
+            st.tuples(trees, trees, space).map(product),
+            st.tuples(trees, exponents, space).map(power),
+            st.tuples(st.sampled_from(divisors(n)), trees).map(trace),
+            trees.map(lambda t: (f"({t[0]})", 3, t[2])))
+
+    leaves = st.one_of(st.just(("x", 3, lambda x: x)),
+                       st.integers(1 - q, q - 1).map(const))
+    return st.recursive(leaves, extend, max_leaves=10)
 
 
 def divisors(m):

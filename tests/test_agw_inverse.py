@@ -12,12 +12,11 @@ import pytest
 from ppinv import (GenericDiagram, PhiMap, add_family, agw_diagram,
                    as_permutation, brute_inverse, build_field, build_phi_add,
                    build_phi_mul, closed_form_mul, family_from_descriptor,
-                   generic_inverse, hybrid_family, identity_table,
-                   invert_additive, invert_hybrid_scale,
-                   invert_multiplicative, invert_niu, invert_translator,
-                   invert_translator_linear, linearized, linearized_inverse,
-                   linearized_tabulate, make_kuozhan, make_poly,
-                   make_zero_translator, mul_family, niu_forward,
+                   generic_inverse, hybrid_family, invert_additive,
+                   invert_hybrid_scale, invert_multiplicative, invert_niu,
+                   invert_translator, invert_translator_linear, linearized,
+                   linearized_inverse, linearized_tabulate, make_kuozhan,
+                   make_poly, make_zero_translator, mul_family, niu_forward,
                    p_power_degree, parse_poly_expr, rel_trace,
                    translator_family)
 from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
@@ -27,7 +26,7 @@ from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
                           NotPermutation, NotTranslator, SquareDoesNotCommute)
 
 from helpers import (add_instances, field_of, hybrid_instances,
-                     is_inverse_pair, mul_instances, translator_instances,
+                     identity_table, is_inverse_pair, mul_instances, translator_instances,
                      trace_kernel, trace_table)
 
 

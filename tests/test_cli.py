@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ppinv import cli, parse_poly_expr, tabulate
 from ppinv.errors import CertificationFailed
 
-from helpers import field_of
+from helpers import expressions, field_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -176,6 +176,25 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli("check-pp", "--p", "7", "--n", "1",
                                  "--expr", "x^^2")
         assert code == 2 and out == "" and "position" in err
+
+    @pytest.mark.parametrize("expr,message", [
+        ("9*x", "constant 9 out of range for q = 4"),
+        ("Tr{3}(x)", "trace degree 3 does not divide n = 2"),
+        ("(" * 2000 + "x" + ")" * 2000, "nested too deeply"),
+        ("Tr{1}(" * 2000 + "x" + ")" * 2000, "nested too deeply")],
+        ids=["constant", "trace-degree", "parentheses", "traces"])
+    def test_bad_expression_exit_2(self, expr, message):
+        code, out, err = run_cli("check-pp", "--p", "2", "--n", "2",
+                                 "--expr", expr)
+        assert code == 2 and out == "" and message in err
+        assert "Traceback" not in err
+
+    def test_long_sum_exit_0(self):
+        # 3000 x = 4x over GF(7); a sum folds in a loop, however long
+        code, out, err = run_cli("check-pp", "--p", "7",
+                                 "--expr", "+".join(["x"] * 3000))
+        assert code == 0 and json.loads(out) == {"is_permutation": True}
+        assert "Traceback" not in err
 
     def test_missing_field_source_exit_2(self):
         code, _, err = run_cli("check-pp", "--expr", "x")
@@ -502,5 +521,41 @@ class TestBoundaryProperty:
         assert "Traceback" not in err.getvalue(), doc
         if code == 2:
             assert out.getvalue() == "", doc
+        else:
+            json.loads(out.getvalue())
+
+
+# pieces inserted into drawn expression texts: grammar tokens, malformed
+# and out-of-range ones, and arbitrary short text
+_PIECES = st.one_of(
+    st.sampled_from(["x", "+", "-", "*", "^", "(", ")", "{", "}", "T", "Tr",
+                     "Tr{", " ", "0", "7", "-1", "99", "1" * 30, "Tr{0}(",
+                     "Tr{5}(", "y", "."]),
+    st.text(max_size=3))
+
+
+class TestGrammarBoundaryProperty:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    def test_any_expression_is_exit_0_1_or_2_without_traceback(self, data):
+        p, n = data.draw(st.sampled_from([(2, 1), (2, 2), (5, 1), (2, 3),
+                                          (3, 2), (3, 3)]))
+        chars = list(data.draw(expressions(field_of(p ** n)))[0])
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(chars)))
+            if i < len(chars) and data.draw(st.booleans()):
+                del chars[i]
+            else:
+                chars[i:i] = data.draw(_PIECES)
+        text = "".join(chars)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["check-pp", "--p", str(p), "--n", str(n),
+                            f"--expr={text}"])
+        assert code in (0, 1, 2), (code, text, err.getvalue())
+        assert "Traceback" not in err.getvalue(), text
+        if code == 2:
+            assert out.getvalue() == "", text
         else:
             json.loads(out.getvalue())

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinv import (LinearizedPoly, build_field, ext_gcd, f_inv,
-                   field_from_json, field_to_json, invert_niu, linearized,
+from ppinv import (LinearizedPoly, build_field, ext_gcd, field_from_json, field_to_json, invert_niu, linearized,
                    linearized_eval, make_kuozhan, mu_subgroup,
                    p_power_degree, parse_poly_expr, rel_trace,
                    subfield_elements)
 from ppinv.errors import (NotCoprime, NotDivisor, NotPrime, Reducible,
                           TooLarge)
 
-from helpers import (field_of, prime_powers, reference_add,
+from helpers import (f_inv, field_of, prime_powers, reference_add,
                      reference_log_tables, reference_mul, reference_neg,
                      reference_pow)
 

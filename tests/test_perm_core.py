@@ -6,11 +6,12 @@ import random
 import pytest
 
 from ppinv import (PermTable, agw_diagram, agw_verify, as_permutation,
-                   brute_inverse, certify, compose_tables, cycle_structure,
-                   identity_table, is_identity, parse_poly_expr, rel_trace)
+                   brute_inverse, certify, cycle_structure, parse_poly_expr,
+                   rel_trace)
 from ppinv.errors import CertificationFailed, NotBijective, SizeMismatch
 
-from helpers import diagram_instances, field_of
+from helpers import (compose_tables, diagram_instances, field_of,
+                     identity_table, is_identity)
 
 
 class TestAsPermutation:

@@ -4,16 +4,17 @@ linearized-polynomial inversion."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppinv import (compose, eval_poly, interpolate, linearized,
-                   linearized_eval, linearized_inverse, make_poly,
-                   p_power_degree, parse_poly_expr, print_poly,
-                   reduce_mod_field, tabulate)
+from ppinv import (eval_poly, interpolate, linearized, linearized_eval,
+                   linearized_inverse, make_poly, p_power_degree,
+                   parse_poly_expr, print_poly, reduce_mod_field, tabulate)
 from ppinv.errors import (BadTraceDegree, ConstantOutOfRange, CtxMismatch,
                           LengthMismatch, PolySyntaxError, Singular)
 from ppinv.poly_expr import linearized_tabulate, monomial
 
-from helpers import field_of
+from helpers import compose, expressions, field_of
 
 
 class TestParse:
@@ -91,6 +92,18 @@ class TestParse:
             v = ctx.add(ctx.mul(x, x), x)
             expected = ctx.add(v, ctx.pow(v, 4))
             assert eval_poly(p, x) == expected
+
+
+class TestGrammarProperty:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    def test_parse_matches_pointwise_evaluation(self, data):
+        ctx = field_of(data.draw(st.sampled_from(
+            (2, 3, 4, 5, 7, 8, 9, 16, 25, 27))))
+        text, _, value = data.draw(expressions(ctx))
+        assert tabulate(parse_poly_expr(text, ctx)) == \
+            [value(x) for x in ctx.elements()], text
 
 
 class TestEval:
