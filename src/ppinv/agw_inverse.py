@@ -2,8 +2,12 @@
 permutation polynomials, plus the generic commutative-square pipeline the
 closed forms specialize.
 
-Each family constructor validates its hypotheses exhaustively and freezes a
-record holding the forward map and the induced small-set map g; the
+Each family constructor validates its hypotheses and freezes a record
+holding the forward map and the induced small-set map g.  The two premises
+quantified over pairs cost O(q*n) by closure under addition: lambda_bar is
+additive iff lambda_bar(x + p^j) = lambda_bar(x) + lambda_bar(p^j) for every
+x and j < n, and gamma is a b-linear translator for every u in S iff for an
+F_p-basis of span(S) drawn from S (:func:`_span_basis`).  The
 ``invert_*`` operations return the inverse as a :class:`PermTable`, certified
 against the forward table by :func:`ppinv.perm_core.certify`.  The
 small-set inverse g^{-1} is found by brute force over the small set, which
@@ -40,6 +44,31 @@ def _small_inverse(pairs: Iterable, label: str) -> dict:
                 witness=(inv[v], k))
         inv[v] = k
     return inv
+
+
+def _span_basis(ctx: FieldCtx, elems: Iterable[int]) -> list:
+    """The members of ``elems``, in order, outside the F_p-span of those
+    before them: an F_p-basis of span(elems) drawn from ``elems``.
+
+    Gaussian elimination on the base-p digits: each row is a reduced
+    vector whose leading digit is 1, keyed by that digit's place value."""
+    p, basis, rows = ctx.p, [], []
+    for u in elems:
+        v = u
+        for place, row in rows:  # descending: a cleared digit stays cleared
+            d = v // place % p
+            if d:
+                v = ctx.sub(v, ctx.mul(d, row))
+        if v:
+            place = 1
+            while place * p <= v:
+                place *= p
+            rows.append((place, ctx.mul(ctx.inv(v // place), v)))
+            rows.sort(reverse=True)
+            basis.append(u)
+            if len(basis) == ctx.n:
+                break
+    return basis
 
 
 # multiplicative family: f(x) = x^r h(x^s)
@@ -171,12 +200,16 @@ def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
     missing = [s for s in S if s not in g0_d]
     if missing:
         raise ValueError(f"g0 is undefined on {missing[0]} in S")
+    # additive on every pair iff on every (x, p^j): x = 0 forces
+    # lambda_bar(0) = 0, and induction over the base-p digits of y does the rest
+    basis = [ctx.p ** j for j in range(ctx.n)]
     for x in ctx.elements():
-        for y in ctx.elements():
-            if bar_t[ctx.add(x, y)] != ctx.add(bar_t[x], bar_t[y]):
+        bx = bar_t[x]
+        for e in basis:
+            if bar_t[ctx.add(x, e)] != ctx.add(bx, bar_t[e]):
                 raise ConditionFail(
-                    f"lambda_bar is not additive at ({x}, {y})",
-                    witness=(x, y))
+                    f"lambda_bar is not additive at ({x}, {e})",
+                    witness=(x, e))
     f = tuple(ctx.add(g_t[x], g0_d[lam_t[x]]) for x in ctx.elements())
     for x in ctx.elements():
         if bar_t[g0_d[lam_t[x]]] != 0:
@@ -313,7 +346,9 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
         if v not in S_set:
             raise ConditionFail(f"G does not map S into S at {y}", witness=y)
         G_on_S[y] = v
-    for u in S:
+    # the u that satisfy the law for every x are closed under addition, so
+    # checking an F_p-basis of span(S) drawn from S checks all of S
+    for u in _span_basis(ctx, S):
         ug = ctx.mul(u, gamma)
         ub = ctx.mul(u, b)
         for x in ctx.elements():
@@ -500,11 +535,10 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
     c_inv = ctx.inv(c)
     images = []
     for x in ctx.elements():
-        w = ctx.add(ctx.sub(ctx.frob(x, e * i), x), delta)
-        Hw = H[w]
-        t1 = ctx.mul(c_inv, ctx.frob(x, e * i))
-        t2 = ctx.mul(c_inv, ctx.frob(eval_poly(g, Hw), e * i))
-        images.append(ctx.add(ctx.sub(ctx.sub(t1, t2), Hw), delta))
+        xq = ctx.frob(x, e * i)
+        Hw = H[ctx.add(ctx.sub(xq, x), delta)]
+        t = ctx.mul(c_inv, ctx.sub(xq, ctx.frob(g_vals[Hw], e * i)))
+        images.append(ctx.add(ctx.sub(t, Hw), delta))
     return certify(niu_forward(ctx, q, g, i, c, delta),
                    PermTable(ctx, tuple(images)))
 

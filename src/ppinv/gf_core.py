@@ -253,7 +253,18 @@ class FieldCtx:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if self.n == 1:
+            return (a - b) % self.p
+        if b == 0:
+            return a
+        log, qm1 = self._log, self.q - 1
+        lnb = (log[b] + qm1 // 2) % qm1  # log(-b), as -1 = g^((q-1)/2)
+        if a == 0:
+            return self._exp[lnb]
+        la = log[a]
+        # log(a - b) = log a + Z[log(-b) - log a]
+        z = self._zech[(lnb - la) % qm1]
+        return self._exp[(la + z) % qm1] if z >= 0 else 0
 
     def _raw_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -12,8 +12,8 @@ from typing import Mapping, Optional, Sequence
 from .errors import (BadK, CertificationFailed, ConditionFail, GammaZero,
                      NotInSubfield, NotTranslator, OddChar, OddN, TraceNonzero)
 from .agw_inverse import (AddFamily, HybridScaleFamily, MulFamily,
-                          TranslatorFamily, _small_inverse, add_family,
-                          mul_family, translator_family)
+                          TranslatorFamily, _small_inverse, _span_basis,
+                          add_family, mul_family, translator_family)
 from .gf_core import (FieldCtx, check_int, check_ints, p_power_degree,
                       rel_trace, subfield_elements)
 from .poly_expr import (PolyFq, eval_poly, linearized, linearized_eval,
@@ -265,7 +265,9 @@ def make_zero_translator(ctx: FieldCtx, q: int, beta_coeffs, G: PolyFq,
     lam = linearized_tabulate(linearized(ctx, q, c))
     sub = subfield_elements(ctx, e)
     sub_set = set(sub)
-    for u in sub:
+    # gamma is a 0-linear translator for every u in GF(q) iff for an
+    # F_p-basis of it: the u that pass are closed under addition
+    for u in _span_basis(ctx, sub):
         ug = ctx.mul(u, gamma)
         for x in ctx.elements():
             if lam[ctx.add(x, ug)] != lam[x]:

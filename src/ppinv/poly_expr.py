@@ -314,7 +314,7 @@ class _Parser:
     def base(self) -> PolyFq:
         self.skip_ws()
         ch, start, ctx = self.peek(), self.pos, self.ctx
-        if ch.isdigit() or ch == "-":
+        if "0" <= ch <= "9" or ch == "-":
             v = self.int_literal()
             if abs(v) >= ctx.q:
                 raise ConstantOutOfRange(
@@ -356,10 +356,11 @@ class _Parser:
             sign = -1
             self.pos += 1
             self.skip_ws()
-        if not self.peek().isdigit():
+        # ASCII digits only: str.isdigit also takes "²", "٣" and the like
+        if not "0" <= self.peek() <= "9":
             self.fail("expected an integer")
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         return sign * int(self.text[start:self.pos])
 

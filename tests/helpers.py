@@ -15,6 +15,11 @@ used for every operation above 2^16 elements, and
 negation that odd extension fields used before Zech logarithms.  The field
 tests compare the table arithmetic with them.
 
+:func:`reference_additive` and :func:`reference_translator` are the
+full pairwise premise checks, O(q^2) and O(|S| q), that ``add_family``,
+``translator_family`` and ``make_zero_translator`` made before they checked
+only a basis; the differential tests compare the verdicts.
+
 :func:`identity_table`, :func:`compose_tables`, :func:`is_identity`,
 :func:`f_inv` and :func:`compose` are small map and polynomial helpers that
 only the tests use.  :func:`expressions` draws random expression trees
@@ -175,6 +180,28 @@ def reference_log_tables(ctx):
     return exp, log
 
 
+def reference_additive(ctx, table):
+    """The first (x, y), x-major, with table[x + y] != table[x] + table[y],
+    or None when the table is additive on every pair."""
+    for x in ctx.elements():
+        for y in ctx.elements():
+            if table[ctx.add(x, y)] != ctx.add(table[x], table[y]):
+                return x, y
+    return None
+
+
+def reference_translator(ctx, lam, gamma, b, S):
+    """The first (x, u), u ascending in S, with
+    lam[x + u*gamma] != lam[x] + u*b, or None when gamma is a b-linear
+    translator of lam for every u in S."""
+    for u in sorted(S):
+        for x in ctx.elements():
+            if (lam[ctx.add(x, ctx.mul(u, gamma))]
+                    != ctx.add(lam[x], ctx.mul(u, b))):
+                return x, u
+    return None
+
+
 def identity_table(ctx):
     return PermTable(ctx, tuple(ctx.elements()))
 
@@ -313,7 +340,7 @@ def mul_instances(ctx, rng, want):
     return out
 
 
-def _linearized_table(ctx, coeffs):
+def linearized_table(ctx, coeffs):
     """Table of sum c_j x^(p^j); coefficients indexed by Frobenius power."""
     out = []
     for x in ctx.elements():
@@ -339,7 +366,7 @@ def add_instances(ctx, rng, want):
         kernel = trace_kernel(ctx, d)
         # g with subfield coefficients commutes with the trace
         coeffs = [rng.choice(sub) for _ in range(ctx.n)]
-        g = _linearized_table(ctx, coeffs)
+        g = linearized_table(ctx, coeffs)
         if len(set(g)) != ctx.q:
             continue
         g0 = {s: rng.choice(kernel) for s in set(lam)}

@@ -25,8 +25,12 @@ from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
                           NotDivisor, NotInjectivePhi, NotInSubfield,
                           NotPermutation, NotTranslator, SquareDoesNotCommute)
 
-from helpers import (add_instances, field_of, hybrid_instances,
-                     identity_table, is_inverse_pair, mul_instances, translator_instances,
+from ppinv.agw_inverse import _span_basis
+
+from helpers import (add_instances, divisors, field_of, hybrid_instances,
+                     identity_table, is_inverse_pair, linearized_table,
+                     mul_instances, prime_powers, reference_additive,
+                     reference_translator, translator_instances,
                      trace_kernel, trace_table)
 
 
@@ -351,6 +355,107 @@ class TestTranslatorFamily:
                     assert invert_translator_linear(fam).images == inv.images
                 except BPlusOneZero:
                     pass
+
+
+def _tamper(table, rng):
+    """Move one entry of the table to a different element."""
+    q = len(table)
+    x = rng.randrange(q)
+    table[x] = (table[x] + rng.randrange(1, q)) % q
+
+
+def _span(ctx, elems):
+    """span(elems) over F_p, by closing {0} under adding multiples."""
+    span = {0}
+    for u in elems:
+        multiples = [0]
+        for _ in range(ctx.p - 1):
+            multiples.append(ctx.add(multiples[-1], u))
+        span = {ctx.add(v, w) for v in span for w in multiples}
+    return span
+
+
+class TestPremiseChecksAgainstFullChecks:
+    """add_family checks additivity on the pairs (x, p^j) and
+    translator_family the translator law on a basis of span(S); both must
+    reach the verdict of the full pairwise check, and reject with a witness
+    at which the law fails."""
+
+    @pytest.mark.parametrize("q", prime_powers(64))
+    def test_additivity(self, q):
+        ctx = field_of(q)
+        rng = random.Random(q)
+        basis = [ctx.p ** j for j in range(ctx.n)]
+        verdicts = set()
+        for k in range(12):
+            table = linearized_table(
+                ctx, [rng.randrange(q) for _ in range(ctx.n)])
+            if k % 2:
+                _tamper(table, rng)
+            ref = reference_additive(ctx, table)
+            # g = identity, g0 = 0: every other premise holds once
+            # lambda_bar = lambda is additive
+            try:
+                add_family(ctx, list(ctx.elements()),
+                           {s: 0 for s in table}, table, table)
+            except ConditionFail as err:
+                assert ref is not None and "not additive" in str(err)
+                x, e = err.witness
+                assert e in basis
+                assert table[ctx.add(x, e)] != ctx.add(table[x], table[e])
+            else:
+                assert ref is None
+            verdicts.add(ref is None)
+        assert verdicts == {True, False} or q == 2
+
+    @pytest.mark.parametrize("q", prime_powers(64))
+    def test_translator_law(self, q):
+        ctx = field_of(q)
+        rng = random.Random(q)
+        G = parse_poly_expr("x", ctx)  # maps every S into itself
+        verdicts = set()
+        for k in range(16):
+            if k < 8:  # b = Tr(gamma) makes gamma a b-linear translator
+                lam = list(trace_table(ctx, rng.choice(divisors(ctx.n))))
+            else:
+                lam = linearized_table(
+                    ctx, [rng.randrange(q) for _ in range(ctx.n)])
+            gamma = rng.randrange(1, q)
+            b = lam[gamma] if k % 4 < 2 else rng.randrange(q)
+            if k % 2:
+                _tamper(lam, rng)
+            S = set(lam)
+            ref = reference_translator(ctx, lam, gamma, b, S)
+            try:
+                translator_family(ctx, lam, gamma, b, G)
+            except NotTranslator as err:
+                assert ref is not None
+                x, u = err.witness
+                assert u in S
+                assert (lam[ctx.add(x, ctx.mul(u, gamma))]
+                        != ctx.add(lam[x], ctx.mul(u, b)))
+            else:
+                assert ref is None
+            verdicts.add(ref is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("q", prime_powers(64))
+    def test_span_basis(self, q):
+        ctx = field_of(q)
+        rng = random.Random(q)
+        sets = [[], [0], list(ctx.elements()), list(trace_table(ctx, 1))]
+        sets += [rng.sample(range(q), rng.randrange(1, min(q, 6) + 1))
+                 for _ in range(8)]
+        for elems in sets:
+            elems = sorted(set(elems))
+            basis = _span_basis(ctx, elems)
+            assert set(basis) <= set(elems)
+            assert len(_span(ctx, basis)) == ctx.p ** len(basis)
+            assert _span(ctx, basis) == _span(ctx, elems)
+            # greedy: whatever precedes a basis member is spanned already
+            for k, u in enumerate(basis):
+                earlier = elems[:elems.index(u)]
+                assert set(earlier) <= _span(ctx, basis[:k])
 
 
 class TestPhiBuilders:

@@ -181,8 +181,12 @@ class TestErrorsAndExitCodes:
         ("9*x", "constant 9 out of range for q = 4"),
         ("Tr{3}(x)", "trace degree 3 does not divide n = 2"),
         ("(" * 2000 + "x" + ")" * 2000, "nested too deeply"),
-        ("Tr{1}(" * 2000 + "x" + ")" * 2000, "nested too deeply")],
-        ids=["constant", "trace-degree", "parentheses", "traces"])
+        ("Tr{1}(" * 2000 + "x" + ")" * 2000, "nested too deeply"),
+        # the grammar's digits are ASCII 0-9, not every Unicode digit
+        ("x^\u0663", "expected an integer at position 2"),
+        ("x^\u00b2", "expected an integer at position 2")],
+        ids=["constant", "trace-degree", "parentheses", "traces",
+             "arabic-indic-digit", "superscript-digit"])
     def test_bad_expression_exit_2(self, expr, message):
         code, out, err = run_cli("check-pp", "--p", "2", "--n", "2",
                                  "--expr", expr)

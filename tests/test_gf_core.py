@@ -223,6 +223,14 @@ class TestZech:
             for b in range(q):
                 self._check(ctx, a, b)
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 31, 257])
+    def test_prime_fields(self, q):
+        # no Zech table here: sub is arithmetic mod p
+        ctx = field_of(q)
+        for a in range(q):
+            for b in range(q):
+                self._check(ctx, a, b)
+
     @pytest.mark.parametrize("q", ODD_EXTENSIONS)
     def test_every_element(self, q):
         # b = -a is the slot where 1 + b/a = 0 and the Zech entry is -1

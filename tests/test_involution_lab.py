@@ -1,17 +1,20 @@
 """Involution criteria for all four families and the explicit involution
 constructors, each cross-checked against the f o f = identity oracle."""
 
+import random
+
 import pytest
 
 from ppinv import (check_add_involution, check_hybrid_involution,
                    check_mul_involution, check_translator_involution,
                    hybrid_family, invert_multiplicative, make_kuozhan,
                    make_trace_gadget, make_zero_translator, mul_family,
-                   parse_poly_expr, rel_trace, translator_family, add_family)
+                   parse_poly_expr, rel_trace, subfield_elements,
+                   translator_family, add_family)
 from ppinv.errors import (BadK, ConditionFail, NotInSubfield, NotTranslator,
                           OddChar, OddN, TraceNonzero)
 
-from helpers import field_of, trace_kernel, trace_table
+from helpers import field_of, reference_translator, trace_kernel, trace_table
 
 
 def _involution_table(f_table):
@@ -321,3 +324,49 @@ class TestMakeZeroTranslator:
         assert fam.lam == trace_table(ctx, 2)
         assert _involution_table(fam.f_table)
         assert fam.f_table != tuple(range(256))
+
+    @pytest.mark.parametrize("q,q0", [(q, q0) for q in (4, 8, 16, 32, 64)
+                                      for q0 in (2, 4, 8)
+                                      if q0 * q0 <= q
+                                      and (q.bit_length() - 1)
+                                      % (q0.bit_length() - 1) == 0])
+    def test_translator_law_against_full_check(self, q, q0):
+        # the law is checked on a basis of GF(q0), then by translator_family
+        # on a basis of span(lambda(F)); the verdict must be the full
+        # check's over both sets, with lambda taken from its defining double
+        # sum.  Equal betas s in GF(q0) make lambda s*Tr (n even) or 0 (n
+        # odd), which a gamma in its kernel translates.
+        ctx = field_of(q)
+        e = q0.bit_length() - 1
+        n = ctx.n // e
+        sub = subfield_elements(ctx, e)
+        rng = random.Random(q * q0)
+        verdicts = set()
+        for k in range(12):
+            if k % 3 == 0:
+                beta = [rng.choice(sub)] * (n - 1)
+            else:
+                beta = [rng.randrange(q) for _ in range(n - 1)]
+            lam = [0] * q
+            for x in ctx.elements():
+                for i in range(1, n):
+                    for j in range(i + 1, n + 1):
+                        pair = ctx.add(ctx.frob(x, e * i), ctx.frob(x, e * j))
+                        lam[x] = ctx.add(lam[x], ctx.mul(beta[i - 1], pair))
+            kernel = [x for x in ctx.units() if lam[x] == 0]
+            gamma = (rng.choice(kernel) if k % 2 and kernel
+                     else rng.randrange(1, q))
+            ref_sub = reference_translator(ctx, lam, gamma, 0, sub)
+            ref = ref_sub or reference_translator(ctx, lam, gamma, 0, set(lam))
+            try:
+                fam = make_zero_translator(ctx, q0, beta,
+                                           parse_poly_expr("x", ctx), gamma)
+            except NotTranslator as err:
+                assert ref is not None
+                x, u = err.witness
+                assert u in (sub if ref_sub else lam)
+                assert lam[ctx.add(x, ctx.mul(u, gamma))] != lam[x]
+            else:
+                assert ref is None and list(fam.lam) == lam
+            verdicts.add(ref is None)
+        assert verdicts == {True, False}
