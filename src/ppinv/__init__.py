@@ -7,7 +7,7 @@ Every inverse returned here has certified itself over the whole field
 """
 
 from .errors import PPInvError
-from .gf_core import (FieldCtx, FieldSpec, MuSubgroup, build_field, ext_gcd,
+from .gf_core import (FieldCtx, MuSubgroup, build_field, ext_gcd,
                       field_from_json, field_to_json, mu_subgroup,
                       p_power_degree, rel_trace, subfield_elements)
 from .poly_expr import (LinearizedPoly, PolyFq, eval_poly, interpolate,

@@ -301,12 +301,11 @@ def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
 def invert_hybrid_scale(fam: HybridScaleFamily) -> PermTable:
     """f^{-1}(x) = (x - lam(x) + k(h(y))*y) / h(y) with y = g^{-1}(lam(x))."""
     ctx = fam.ctx
-    if fam.g_inv is None:
-        raise NotPermutation("g(y) = y*k(h(y)) is not a bijection on the "
-                             "lambda image")
+    g_inv = _small_inverse(fam.g_map.items(),
+                           "g(y) = y*k(h(y)) on the lambda image")
     images = []
     for x in ctx.elements():
-        y = fam.g_inv[fam.lam[x]]
+        y = g_inv[fam.lam[x]]
         num = ctx.add(ctx.sub(x, fam.lam[x]), ctx.mul(fam.theta[y], y))
         images.append(ctx.div(num, fam.h_on_L[y]))
     return certify(fam.f_table, PermTable(ctx, tuple(images)))
@@ -370,12 +369,11 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
 def invert_translator(fam: TranslatorFamily) -> PermTable:
     """f^{-1}(x) = (b-gamma) G(y) + y - lam(x) + x with y = g^{-1}(lam(x))."""
     ctx = fam.ctx
-    if fam.g_inv is None:
-        raise NotPermutation("g(y) = y + b*G(y) is not a bijection on S")
+    g_inv = _small_inverse(fam.g_map.items(), "g(y) = y + b*G(y) on S")
     coeff = ctx.sub(fam.b, fam.gamma)
     images = []
     for x in ctx.elements():
-        y = fam.g_inv[fam.lam[x]]
+        y = g_inv[fam.lam[x]]
         val = ctx.add(ctx.mul(coeff, fam.G_on_S[y]), y)
         images.append(ctx.add(val, ctx.sub(x, fam.lam[x])))
     return certify(fam.f_table, PermTable(ctx, tuple(images)))

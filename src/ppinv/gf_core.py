@@ -148,16 +148,6 @@ def _default_modulus(p: int, n: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """Description of GF(p^n): characteristic, degree, modulus (low-to-high,
-    length n+1, monic)."""
-
-    p: int
-    n: int
-    modulus: tuple
-
-
-@dataclass(frozen=True)
 class MuSubgroup:
     """The subgroup of ell-th roots of unity in F_q^*, sorted ascending."""
 
@@ -182,16 +172,14 @@ class FieldCtx:
     ``_zech`` is None.
     """
 
-    __slots__ = ("spec", "p", "n", "q", "modulus", "_mask", "_exp", "_log",
-                 "_zech")
+    __slots__ = ("p", "n", "q", "modulus", "_mask", "_exp", "_log", "_zech")
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.n = spec.n
-        self.q = spec.p ** spec.n
-        self.modulus = spec.modulus
-        self._mask = self.pack(spec.modulus)  # a bit mask when p = 2
+    def __init__(self, p: int, n: int, modulus: tuple):
+        self.p = p
+        self.n = n
+        self.q = p ** n
+        self.modulus = modulus
+        self._mask = self.pack(modulus)  # a bit mask when p = 2
         self._exp, self._log = self._build_log_tables()
         self._zech = None
         if self.p != 2 and self.n > 1:
@@ -201,10 +189,12 @@ class FieldCtx:
                           for x in self._exp]
 
     def __eq__(self, other):
-        return isinstance(other, FieldCtx) and self.spec == other.spec
+        return (isinstance(other, FieldCtx) and
+                (self.p, self.n, self.modulus) ==
+                (other.p, other.n, other.modulus))
 
     def __hash__(self):
-        return hash(self.spec)
+        return hash((self.p, self.n, self.modulus))
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}))"
@@ -388,7 +378,7 @@ def build_field(p: int, n: int = 1,
             raise ValueError("modulus must be monic")
         if not _is_irreducible(modulus, p):
             raise Reducible(f"modulus {list(modulus)} factors over F_{p}")
-    return FieldCtx(FieldSpec(p, n, modulus))
+    return FieldCtx(p, n, modulus)
 
 
 def unit_dft(ctx: FieldCtx, seq: Sequence[int],

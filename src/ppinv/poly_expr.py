@@ -150,22 +150,19 @@ def poly_pow(p: PolyFq, e: int) -> PolyFq:
 
 
 def poly_frob(p: PolyFq, k: int) -> PolyFq:
-    """p^(p^k) via the additive Frobenius: coefficientwise p-power and
-    exponent scaling, reduced mod x^q - x.  O(deg) per application."""
+    """p^(p^k) via the additive Frobenius in one pass: the sum of
+    c^(p^k) * x^(e * p^k), with exponents folded mod x^q - x.  O(deg)."""
     ctx = p.ctx
-    out = p
-    for _ in range(k):
-        acc = {}
-        for e, c in enumerate(out.coeffs):
-            if c:
-                e2 = _fold_exponent(e * ctx.p, ctx.q)
-                cp = ctx.pow(c, ctx.p)
-                acc[e2] = ctx.add(acc.get(e2, 0), cp)
-        cs = [0] * (max(acc) + 1 if acc else 0)
-        for e2, c in acc.items():
-            cs[e2] = c
-        out = make_poly(ctx, cs)
-    return out
+    pk = ctx.p ** k
+    acc = {}
+    for e, c in enumerate(p.coeffs):
+        if c:
+            e2 = _fold_exponent(e * pk, ctx.q)
+            acc[e2] = ctx.add(acc.get(e2, 0), ctx.frob(c, k))
+    cs = [0] * (max(acc, default=-1) + 1)
+    for e2, c in acc.items():
+        cs[e2] = c
+    return make_poly(ctx, cs)
 
 
 def eval_poly(p: PolyFq, x: int) -> int:
@@ -409,83 +406,41 @@ def linearized_tabulate(L: LinearizedPoly) -> list:
     return [linearized_eval(L, x) for x in L.ctx.elements()]
 
 
-def _fp_matrix_inverse(mat: list, p: int):
-    """Gauss-Jordan inverse of a square matrix over F_p, or None if singular."""
-    n = len(mat)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv_p = pow(a[col][col], -1, p)
-        a[col] = [(v * inv_p) % p for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(u - f * v) % p for u, v in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def linearized_inverse(L: LinearizedPoly) -> LinearizedPoly:
-    """The linearized compositional inverse of a bijective L, obtained by
-    inverting the matrix of L over F_p and reading coefficients back off a
-    Moore-matrix linear system over the big field."""
+    """The linearized compositional inverse M = sum of b_j x^(q0^j) of a
+    bijective L = sum of a_i x^(q0^i), with indices mod m = n / log_p q0.
+
+    The coefficient of x^(q0^k) in M(L(x)) is the sum over j of
+    b_j * a_(k-j)^(q0^j), so M is the inverse exactly when that sum is 1
+    for k = 0 and 0 for 0 < k < m.  This m x m system over F_q is solved
+    by one Gauss-Jordan elimination.  Its matrix is the transposed Dickson
+    matrix of L, nonsingular iff L is a bijection (Wu & Liu, "Linearized
+    polynomials over finite fields revisited", *Finite Fields Appl.* 22,
+    2013), so a missing pivot raises :class:`Singular`.  The answer is
+    certified on the F_p-basis p^j of F_q: M(L(p^j)) = p^j for every j < n,
+    or :class:`CertificationFailed` with the failing p^j as witness.
+    """
     ctx = L.ctx
-    p, n = ctx.p, ctx.n
     d = p_power_degree(ctx, L.base)
-    m = n // d
-    basis = [p ** j for j in range(n)]  # packed single-digit elements
-    # matrix of L on digit vectors, columns = images of basis elements
-    mat = [[0] * n for _ in range(n)]
-    for j, e in enumerate(basis):
-        for row, digit in enumerate(ctx.digits(linearized_eval(L, e))):
-            mat[row][j] = digit
-    inv = _fp_matrix_inverse(mat, p)
-    if inv is None:
-        raise Singular("the linearized polynomial is not a bijection")
-    # images of the basis under L^{-1}
-    w = [ctx.pack([inv[row][j] for row in range(n)]) for j in range(n)]
-    # solve sum_i c_i * e_j^(q0^i) = w_j for the inverse's coefficients
-    rows = []
-    for j, e in enumerate(basis):
-        row = []
-        cur = e
-        for _ in range(m):
-            row.append(cur)
-            cur = ctx.frob(cur, d)
-        row.append(w[j])
-        rows.append(row)
-    sol = _field_solve(ctx, rows, m)
-    out = linearized(ctx, L.base, sol)
-    for j, e in enumerate(basis):
-        if linearized_eval(out, e) != w[j]:
-            raise CertificationFailed(
-                f"inverse misses the image of basis element {e}", witness=e)
-    return out
-
-
-def _field_solve(ctx: FieldCtx, rows: list, m: int) -> list:
-    """Solve an overdetermined, consistent linear system over F_q by
-    Gaussian elimination; rows are [a_0 .. a_{m-1} | rhs]."""
-    rows = [row[:] for row in rows]
-    pivots = []
+    m = ctx.n // d
+    a = L.coeffs + (0,) * (m - len(L.coeffs))
+    rows = [[ctx.frob(a[(k - j) % m], d * j) for j in range(m)]
+            + [1 if k == 0 else 0] for k in range(m)]
     for col in range(m):
-        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        piv = next((r for r in range(col, m) if rows[r][col]), None)
         if piv is None:
-            raise CertificationFailed("Moore system lost rank")
-        k = len(pivots)
-        rows[k], rows[piv] = rows[piv], rows[k]
-        inv = ctx.inv(rows[k][col])
-        rows[k] = [ctx.mul(v, inv) for v in rows[k]]
-        for r in range(len(rows)):
-            if r != k and rows[r][col]:
-                f = rows[r][col]
+            raise Singular("the linearized polynomial is not a bijection")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = ctx.inv(rows[col][col])
+        rows[col] = [ctx.mul(v, inv) for v in rows[col]]
+        for r in range(m):
+            f = rows[r][col]
+            if r != col and f:
                 rows[r] = [ctx.sub(u, ctx.mul(f, v))
-                           for u, v in zip(rows[r], rows[k])]
-        pivots.append(col)
-    for r in range(m, len(rows)):  # leftover rows must have vanished
-        if any(rows[r]):
-            raise CertificationFailed("Moore system is inconsistent")
-    return [rows[i][m] for i in range(m)]
+                           for u, v in zip(rows[r], rows[col])]
+    out = linearized(ctx, L.base, [row[m] for row in rows])
+    for e in (ctx.p ** j for j in range(ctx.n)):
+        if linearized_eval(out, linearized_eval(L, e)) != e:
+            raise CertificationFailed(
+                f"inverse does not undo L at basis element {e}", witness=e)
+    return out

@@ -276,8 +276,10 @@ class TestHybridFamily:
         fam = hybrid_family(ctx, parse_poly_expr("x^2 + x + 2", ctx),
                             parse_poly_expr("x", ctx), lam, [0, 1, 2])
         assert fam.g_inv is None
-        with pytest.raises(NotPermutation):
+        with pytest.raises(NotPermutation) as info:
             invert_hybrid_scale(fam)
+        a, b = info.value.witness
+        assert a != b and fam.g_map[a] == fam.g_map[b]
 
     @pytest.mark.parametrize("q", [5, 8, 9, 25, 27])
     def test_generated_instances_invert(self, q):
@@ -324,8 +326,10 @@ class TestTranslatorFamily:
         gamma = next(x for x in ctx.units() if lam[x] == 1)
         fam = translator_family(ctx, lam, gamma, 1, parse_poly_expr("x", ctx))
         assert fam.f_table[0] == fam.f_table[gamma] == 0  # not a PP
-        with pytest.raises(NotPermutation):
+        with pytest.raises(NotPermutation) as info:
             invert_translator(fam)
+        a, b = info.value.witness
+        assert a != b and fam.g_map[a] == fam.g_map[b]
         with pytest.raises(BPlusOneZero):
             invert_translator_linear(fam)
 

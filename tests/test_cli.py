@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinv import cli, parse_poly_expr, tabulate
+from ppinv import cli, family_from_descriptor, parse_poly_expr, tabulate
 from ppinv.errors import CertificationFailed
 
 from helpers import expressions, field_of
@@ -171,6 +171,23 @@ class TestErrorsAndExitCodes:
         doc = json.loads(out)
         assert doc["error"] == "NotPermutation"
         assert doc["witness"] == [1, 6]
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "hybrid", "field": {"p": 3, "n": 2}, "h": "x^2 + x + 2",
+         "k": "x", "lambda": "Tr{1}(x)", "S": [0, 1, 2]},
+        {"family": "translator", "field": {"p": 2, "n": 4},
+         "lambda": "Tr{2}(x)", "gamma": 2, "b": 11, "G": "x^2"}],
+        ids=["hybrid", "translator"])
+    def test_small_set_rejection_names_the_collision(self, doc, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli("invert", "--file", str(path))
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "NotPermutation"
+        _, fam = family_from_descriptor(doc)
+        a, b = rep["witness"]
+        assert a != b and fam.g_map[a] == fam.g_map[b]
 
     def test_syntax_error_exit_2(self):
         code, out, err = run_cli("check-pp", "--p", "7", "--n", "1",

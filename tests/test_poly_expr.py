@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinv import (eval_poly, interpolate, linearized, linearized_eval,
-                   linearized_inverse, make_poly, p_power_degree,
-                   parse_poly_expr, print_poly, reduce_mod_field, tabulate)
+from ppinv import (PermTable, brute_inverse, eval_poly, interpolate,
+                   linearized, linearized_eval, linearized_inverse, make_poly,
+                   p_power_degree, parse_poly_expr, print_poly,
+                   reduce_mod_field, tabulate)
 from ppinv.errors import (BadTraceDegree, ConstantOutOfRange, CtxMismatch,
                           LengthMismatch, PolySyntaxError, Singular)
-from ppinv.poly_expr import linearized_tabulate, monomial
+from ppinv.poly_expr import linearized_tabulate, monomial, poly_frob
 
-from helpers import compose, expressions, field_of
+from helpers import compose, expressions, field_of, prime_powers
+
+# every field with q <= 64 under every base q0 = p^e with e | n, and two
+# larger extensions
+LINEARIZED_CASES = [(q, ctx.p ** e) for q in prime_powers(64)
+                    for ctx in [field_of(q)]
+                    for e in range(1, ctx.n + 1) if ctx.n % e == 0]
+LINEARIZED_CASES += [(256, 4), (243, 3)]
 
 
 class TestParse:
@@ -140,6 +148,21 @@ class TestReduce:
             assert len(r.coeffs) <= q
             for x in ctx.elements():
                 assert eval_poly(r, x) == eval_poly(p, x)
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("q", prime_powers(64))
+    def test_pointwise(self, q):
+        # degrees up to 2q, so that folded exponents also collide
+        ctx = field_of(q)
+        rng = random.Random(q + 4)
+        for _ in range(4):
+            P = make_poly(ctx, [rng.randrange(q)
+                                for _ in range(rng.randrange(1, 2 * q))])
+            values = tabulate(P)
+            for k in range(ctx.n + 1):
+                assert tabulate(poly_frob(P, k)) == \
+                    [ctx.frob(v, k) for v in values], (P, k)
 
 
 class TestCompose:
@@ -279,3 +302,24 @@ class TestLinearized:
             t, ti = linearized_tabulate(L), linearized_tabulate(inv)
             assert all(ti[t[x]] == x for x in ctx.elements())
             assert all(t[ti[x]] == x for x in ctx.elements())
+
+    @pytest.mark.parametrize("q,base", LINEARIZED_CASES)
+    def test_matches_brute_force(self, q, base):
+        # Singular exactly when L's table is not a bijection; otherwise the
+        # inverse's table is the brute-force inverse of L's table
+        ctx = field_of(q)
+        m = ctx.n // p_power_degree(ctx, base)
+        rng = random.Random(q * 67 + base)
+        for _ in range(8):
+            coeffs = [rng.randrange(q) if rng.random() < 0.6 else 0
+                      for _ in range(m)]
+            L = linearized(ctx, base, coeffs)
+            table = linearized_tabulate(L)
+            if len(set(table)) < q:
+                with pytest.raises(Singular):
+                    linearized_inverse(L)
+                continue
+            inv = linearized_inverse(L)
+            assert len(inv.coeffs) <= m
+            assert linearized_tabulate(inv) == \
+                list(brute_inverse(PermTable(ctx, tuple(table))).images)
