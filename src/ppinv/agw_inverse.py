@@ -9,41 +9,29 @@ additive iff lambda_bar(x + p^j) = lambda_bar(x) + lambda_bar(p^j) for every
 x and j < n, and gamma is a b-linear translator for every u in S iff for an
 F_p-basis of span(S) drawn from S (:func:`_span_basis`).  The
 ``invert_*`` operations return the inverse as a :class:`PermTable`, certified
-against the forward table by :func:`ppinv.perm_core.certify`.  The
-small-set inverse g^{-1} is found by brute force over the small set, which
-is the whole point of the reduction.
+against the forward table by :func:`ppinv.perm_core.certify`.  Each
+inverter finds the small-set inverse g^{-1} once, by brute force over the
+small set, which is the whole point of the reduction; only
+:func:`mul_family` does so up front, since a bijective g is its premise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
-                     NotInjectivePhi, NotInSubfield, NotPermutation,
-                     NotTranslator, SquareDoesNotCommute)
+                     NotInjectivePhi, NotInSubfield, NotTranslator,
+                     SquareDoesNotCommute)
 from .gf_core import (FieldCtx, MuSubgroup, check_int, check_ints,
                       check_object, ext_gcd, field_from_json, mu_subgroup,
                       p_power_degree)
-from .perm_core import MapLike, PermTable, _materialize, brute_inverse, certify
+from .perm_core import (MapLike, PermTable, _materialize, _small_inverse,
+                        brute_inverse, certify)
 from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
                         tabulate)
-
-
-def _small_inverse(pairs: Iterable, label: str) -> dict:
-    """Brute-force inverse of a map given as (x, image) pairs; rejects the
-    first collision.  Callers pass the pairs in ascending x (the g maps are
-    built over sorted sets), so the witness is the first collision in x."""
-    inv: dict = {}
-    for k, v in pairs:
-        if v in inv:
-            raise NotPermutation(
-                f"{label} is not a bijection: {inv[v]} and {k} both map to {v}",
-                witness=(inv[v], k))
-        inv[v] = k
-    return inv
 
 
 def _span_basis(ctx: FieldCtx, elems: Iterable[int]) -> list:
@@ -252,7 +240,6 @@ class HybridScaleFamily:
     h_on_L: Mapping
     theta: Mapping
     g_map: Mapping
-    g_inv: Optional[Mapping]
     f_table: tuple
 
 
@@ -289,13 +276,8 @@ def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
                 f"h vanishes at {y} on the lambda image", witness=y)
     theta = {y: k_on_S[h_on_L[y]] for y in L}
     g_map = {y: ctx.mul(y, theta[y]) for y in L}
-    try:
-        g_inv = _small_inverse(g_map.items(), "g on the lambda image")
-    except NotPermutation:
-        g_inv = None
     f = tuple(ctx.mul(x, h_on_L[lam_t[x]]) for x in ctx.elements())
-    return HybridScaleFamily(ctx, h, k, lam_t, S_t, L, h_on_L, theta, g_map,
-                             g_inv, f)
+    return HybridScaleFamily(ctx, h, k, lam_t, S_t, L, h_on_L, theta, g_map, f)
 
 
 def invert_hybrid_scale(fam: HybridScaleFamily) -> PermTable:
@@ -327,7 +309,6 @@ class TranslatorFamily:
     S: tuple
     G_on_S: Mapping
     g_map: Mapping
-    g_inv: Optional[Mapping]
     f_table: tuple
 
 
@@ -356,14 +337,9 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
                     f"lambda(x + u*gamma) != lambda(x) + u*b at "
                     f"(x, u) = ({x}, {u})", witness=(x, u))
     g_map = {y: ctx.add(y, ctx.mul(b, G_on_S[y])) for y in S}
-    try:
-        g_inv = _small_inverse(g_map.items(), "g on S")
-    except NotPermutation:
-        g_inv = None
     f = tuple(ctx.add(x, ctx.mul(gamma, G_on_S[lam_t[x]]))
               for x in ctx.elements())
-    return TranslatorFamily(ctx, lam_t, gamma, b, G, S, G_on_S, g_map, g_inv,
-                            f)
+    return TranslatorFamily(ctx, lam_t, gamma, b, G, S, G_on_S, g_map, f)
 
 
 def invert_translator(fam: TranslatorFamily) -> PermTable:
@@ -505,13 +481,17 @@ def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
 
 def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
                delta: int) -> PermTable:
-    """Inverse of f(x) = g(x^{q^i} - x + delta) + c*x over GF(q^m), given
-    c in the subfield GF(q^gcd(i,m))^*:
+    """Inverse of f(x) = g(lam(x)) + c*x over GF(q^m), where
+    lam(x) = x^{q^i} - x + delta and c lies in the subfield
+    GF(q^gcd(i,m))^*:
 
-        f^{-1}(x) = c^{-1} x^{q^i} - c^{-1} g(H(w))^{q^i} - H(w) + delta,
+        f^{-1}(x) = c^{-1} (x^{q^i} - g(H(lam(x)))^{q^i}) - H(lam(x)) + delta,
 
-    where w = x^{q^i} - x + delta and H is the (brute-forced) inverse of
-    h(x) = g(x)^{q^i} - g(x) + c*x + (1-c)*delta.
+    where H is the inverse of h(y) = g(y)^{q^i} - g(y) + c*y + (1-c)*delta
+    on the small set S = lam(F).  Since c^{q^i} = c, lam o f = h o lam, so
+    h maps S into itself; since c != 0, f is injective on each fibre of
+    lam.  So f is a permutation exactly when h permutes S, and H is found
+    by brute force over S alone.
     """
     e = p_power_degree(ctx, q)
     check_int(c, "c", 0, ctx.q)
@@ -521,21 +501,24 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
     if c == 0 or ctx.frob(c, e * d) != c:
         raise NotInSubfield(
             f"c = {c} is not in GF({q}^{d})^*", witness=c)
-    g_vals = [eval_poly(g, x) for x in ctx.elements()]
+    sigma = e * i
+    lam = [ctx.add(ctx.sub(ctx.frob(x, sigma), x), delta)
+           for x in ctx.elements()]
     shift = ctx.mul(ctx.sub(1, c), delta)
-    h_table = [0] * ctx.q
-    for x in ctx.elements():
-        gx = g_vals[x]
-        h_table[x] = ctx.add(
-            ctx.add(ctx.sub(ctx.frob(gx, e * i), gx), ctx.mul(c, x)), shift)
-    H = _small_inverse(enumerate(h_table),
-                       "h(x) = g(x)^(q^i) - g(x) + c*x + (1-c)*delta")
+    g_sigma = {}
+    h_pairs = []
+    for y in sorted(set(lam)):
+        gy = eval_poly(g, y)
+        g_sigma[y] = ctx.frob(gy, sigma)
+        h_pairs.append((y, ctx.add(
+            ctx.add(ctx.sub(g_sigma[y], gy), ctx.mul(c, y)), shift)))
+    H = _small_inverse(
+        h_pairs, "h(y) = g(y)^(q^i) - g(y) + c*y + (1-c)*delta on S")
     c_inv = ctx.inv(c)
     images = []
     for x in ctx.elements():
-        xq = ctx.frob(x, e * i)
-        Hw = H[ctx.add(ctx.sub(xq, x), delta)]
-        t = ctx.mul(c_inv, ctx.sub(xq, ctx.frob(g_vals[Hw], e * i)))
+        Hw = H[lam[x]]
+        t = ctx.mul(c_inv, ctx.sub(ctx.frob(x, sigma), g_sigma[Hw]))
         images.append(ctx.add(ctx.sub(t, Hw), delta))
     return certify(niu_forward(ctx, q, g, i, c, delta),
                    PermTable(ctx, tuple(images)))

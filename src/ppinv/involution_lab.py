@@ -12,10 +12,11 @@ from typing import Mapping, Optional, Sequence
 from .errors import (BadK, CertificationFailed, ConditionFail, GammaZero,
                      NotInSubfield, NotTranslator, OddChar, OddN, TraceNonzero)
 from .agw_inverse import (AddFamily, HybridScaleFamily, MulFamily,
-                          TranslatorFamily, _small_inverse, _span_basis,
-                          add_family, mul_family, translator_family)
+                          TranslatorFamily, _span_basis, add_family,
+                          mul_family, translator_family)
 from .gf_core import (FieldCtx, check_int, check_ints, p_power_degree,
-                      rel_trace, subfield_elements)
+                      subfield_elements)
+from .perm_core import _small_inverse
 from .poly_expr import (PolyFq, eval_poly, linearized, linearized_eval,
                         linearized_tabulate, make_poly)
 
@@ -218,7 +219,7 @@ def make_trace_gadget(ctx: FieldCtx, q: int, g0: PolyFq) -> AddFamily:
             raise ConditionFail(
                 f"g0 does not map GF({q}) into itself at {s}", witness=s)
         g0_map[s] = v
-    lam = [rel_trace(ctx, e, x) for x in ctx.elements()]
+    lam = linearized_tabulate(linearized(ctx, q, [1] * (ctx.n // e)))
     identity = list(ctx.elements())
     fam = add_family(ctx, identity, g0_map, lam, lam)
     return _certified_involution(fam, check_add_involution(fam))

@@ -9,10 +9,10 @@ inverter runs on its answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (CertificationFailed, CtxMismatch, NotBijective,
-                     SizeMismatch)
+                     NotPermutation, SizeMismatch)
 from .gf_core import FieldCtx, check_int, check_ints
 from .poly_expr import PolyFq, tabulate
 
@@ -76,14 +76,23 @@ def as_permutation(ctx: FieldCtx, mapping: MapLike) -> PermTable:
     """Build a PermTable, rejecting non-bijections with the first collision
     in index order as witness."""
     images = _materialize(ctx, mapping)
-    seen = [-1] * ctx.q
-    for x, y in enumerate(images):
-        if seen[y] >= 0:
-            raise NotBijective(
-                f"map is not a bijection: {seen[y]} and {x} both map to {y}",
-                witness=(seen[y], x))
-        seen[y] = x
+    _small_inverse(enumerate(images), "map", NotBijective)
     return PermTable(ctx, tuple(images))
+
+
+def _small_inverse(pairs: Iterable, label: str,
+                   error: type = NotPermutation) -> dict:
+    """Brute-force inverse of a map given as (x, image) pairs; raises
+    ``error`` at the first collision.  Callers pass the pairs in ascending
+    x, so the witness is the first collision in x."""
+    inv: dict = {}
+    for k, v in pairs:
+        if v in inv:
+            raise error(
+                f"{label} is not a bijection: {inv[v]} and {k} both map to {v}",
+                witness=(inv[v], k))
+        inv[v] = k
+    return inv
 
 
 def brute_inverse(t: PermTable) -> PermTable:

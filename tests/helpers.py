@@ -389,7 +389,7 @@ def hybrid_instances(ctx, rng, want, require_invertible=True):
             fam = hybrid_family(ctx, h, k, lam, list(range(ctx.p)))
         except PPInvError:
             continue
-        if require_invertible and fam.g_inv is None:
+        if require_invertible and len(set(fam.g_map.values())) < len(fam.g_map):
             continue
         out.append(fam)
     return out
@@ -411,7 +411,7 @@ def translator_instances(ctx, rng, want, require_invertible=True):
             fam = translator_family(ctx, lam, gamma, b, G)
         except PPInvError:
             continue
-        if require_invertible and fam.g_inv is None:
+        if require_invertible and len(set(fam.g_map.values())) < len(fam.g_map):
             continue
         out.append(fam)
     return out

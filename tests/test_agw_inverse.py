@@ -3,22 +3,24 @@ difference-plus-scaling class; every inverse is checked against the
 brute-force oracle."""
 
 import dataclasses
+import math
 import random
 import subprocess
 import sys
 
 import pytest
 
-from ppinv import (GenericDiagram, PhiMap, add_family, agw_diagram,
-                   as_permutation, brute_inverse, build_field, build_phi_add,
-                   build_phi_mul, closed_form_mul, family_from_descriptor,
-                   generic_inverse, hybrid_family, invert_additive,
-                   invert_hybrid_scale, invert_multiplicative, invert_niu,
-                   invert_translator, invert_translator_linear, linearized,
-                   linearized_inverse, linearized_tabulate, make_kuozhan,
-                   make_poly, make_zero_translator, mul_family, niu_forward,
+from ppinv import (GenericDiagram, PermTable, PhiMap, add_family,
+                   agw_diagram, as_permutation, brute_inverse, build_field,
+                   build_phi_add, build_phi_mul, closed_form_mul, eval_poly,
+                   family_from_descriptor, generic_inverse, hybrid_family,
+                   invert_additive, invert_hybrid_scale,
+                   invert_multiplicative, invert_niu, invert_translator,
+                   invert_translator_linear, linearized, linearized_inverse,
+                   linearized_tabulate, make_kuozhan, make_poly,
+                   make_zero_translator, mul_family, niu_forward,
                    p_power_degree, parse_poly_expr, rel_trace,
-                   translator_family)
+                   subfield_elements, translator_family)
 from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
                           GammaZero, HVanishes, HVanishesOnImage, LambdaZero,
                           NotCoprime,
@@ -29,9 +31,9 @@ from ppinv.agw_inverse import _span_basis
 
 from helpers import (add_instances, divisors, field_of, hybrid_instances,
                      identity_table, is_inverse_pair, linearized_table,
-                     mul_instances, prime_powers, reference_additive,
-                     reference_translator, translator_instances,
-                     trace_kernel, trace_table)
+                     mul_instances, prime_powers, random_poly,
+                     reference_additive, reference_translator,
+                     translator_instances, trace_kernel, trace_table)
 
 
 class TestMulFamily:
@@ -275,7 +277,6 @@ class TestHybridFamily:
         lam = trace_table(ctx, 1)
         fam = hybrid_family(ctx, parse_poly_expr("x^2 + x + 2", ctx),
                             parse_poly_expr("x", ctx), lam, [0, 1, 2])
-        assert fam.g_inv is None
         with pytest.raises(NotPermutation) as info:
             invert_hybrid_scale(fam)
         a, b = info.value.witness
@@ -617,14 +618,14 @@ class TestGenericInverse:
         rng = random.Random(67)
         for fam in hybrid_instances(ctx, rng, 4):
             phi = build_phi_add(identity_table(ctx), fam.lam)
+            g_inv = {v: y for y, v in fam.g_map.items()}
 
-            def M(alpha, beta, _f=fam):
-                y = _f.g_inv[alpha]
+            def M(alpha, beta, _f=fam, _gi=g_inv):
+                y = _gi[alpha]
                 num = ctx.add(beta, ctx.mul(_f.theta[y], y))
                 return ctx.sub(ctx.div(num, _f.h_on_L[y]), y)
 
-            d = GenericDiagram(phi=phi, phi_bar=phi, g_inv=dict(fam.g_inv),
-                               M=M)
+            d = GenericDiagram(phi=phi, phi_bar=phi, g_inv=g_inv, M=M)
             f = as_permutation(ctx, list(fam.f_table))
             assert generic_inverse(d, f).images == \
                 invert_hybrid_scale(fam).images
@@ -636,12 +637,12 @@ class TestGenericInverse:
         for fam in translator_instances(ctx, rng, 4):
             phi = build_phi_add(identity_table(ctx), fam.lam)
             coeff = ctx.sub(fam.b, fam.gamma)
+            g_inv = {v: y for y, v in fam.g_map.items()}
 
-            def M(alpha, beta, _f=fam, _c=coeff):
-                return ctx.add(beta, ctx.mul(_c, _f.G_on_S[_f.g_inv[alpha]]))
+            def M(alpha, beta, _f=fam, _c=coeff, _gi=g_inv):
+                return ctx.add(beta, ctx.mul(_c, _f.G_on_S[_gi[alpha]]))
 
-            d = GenericDiagram(phi=phi, phi_bar=phi, g_inv=dict(fam.g_inv),
-                               M=M)
+            d = GenericDiagram(phi=phi, phi_bar=phi, g_inv=g_inv, M=M)
             f = as_permutation(ctx, list(fam.f_table))
             assert generic_inverse(d, f).images == \
                 invert_translator(fam).images
@@ -664,6 +665,29 @@ class TestGenericInverse:
                            M=lambda a, b: b)
         with pytest.raises(SquareDoesNotCommute):
             generic_inverse(d, identity_table(ctx))
+
+
+class TestSmallSetInverseOnce:
+    def test_constructors_invert_nothing(self, monkeypatch):
+        import ppinv.agw_inverse as agw
+        real, labels = agw._small_inverse, []
+
+        def counting(pairs, label, *rest):
+            labels.append(label)
+            return real(pairs, label, *rest)
+
+        monkeypatch.setattr(agw, "_small_inverse", counting)
+        ctx = field_of(9)
+        hybrid = hybrid_family(ctx, parse_poly_expr("x^2 + 1", ctx),
+                               parse_poly_expr("x^2", ctx),
+                               parse_poly_expr("x^4", ctx), [0, 1, 2])
+        translator = translator_family(ctx, trace_table(ctx, 1), 2, 1,
+                                       parse_poly_expr("x", ctx))
+        assert labels == []
+        invert_hybrid_scale(hybrid)
+        assert len(labels) == 1
+        invert_translator(translator)
+        assert len(labels) == 2
 
 
 class TestNiu:
@@ -732,6 +756,49 @@ class TestNiu:
         outside = next(x for x in ctx.units() if x not in sub4)
         with pytest.raises(NotInSubfield):
             invert_niu(ctx, 4, g_poly, 1, outside, 5)
+
+    def test_agrees_with_brute_force_bijectivity(self):
+        # every field with q <= 81 and a proper subfield base q0 = p^e, and
+        # every i in [1, m): f permutes F exactly when h permutes S = lam(F)
+        both_ways = [0, 0]
+        permutes_S_not_F = 0
+        for q in prime_powers(81):
+            ctx = field_of(q)
+            for e in divisors(ctx.n)[:-1]:
+                q0, m = ctx.p ** e, ctx.n // e
+                for i in range(1, m):
+                    units = [c for c in subfield_elements(
+                        ctx, e * math.gcd(i, m)) if c]
+                    rng = random.Random(q * 1000 + e * 100 + i)
+                    for _ in range(30):
+                        g = random_poly(ctx, rng, 3)
+                        c, delta = rng.choice(units), rng.randrange(q)
+                        fwd = niu_forward(ctx, q0, g, i, c, delta)
+                        lam = [ctx.add(ctx.sub(ctx.frob(x, e * i), x), delta)
+                               for x in ctx.elements()]
+
+                        def h(y):
+                            gy = eval_poly(g, y)
+                            return ctx.add(ctx.add(
+                                ctx.sub(ctx.frob(gy, e * i), gy),
+                                ctx.mul(c, y)),
+                                ctx.mul(ctx.sub(1, c), delta))
+
+                        if len(set(fwd)) == q:
+                            both_ways[0] += 1
+                            oracle = brute_inverse(PermTable(ctx, fwd))
+                            assert invert_niu(ctx, q0, g, i, c,
+                                              delta).images == oracle.images
+                            if len({h(y) for y in ctx.elements()}) < q:
+                                permutes_S_not_F += 1
+                            continue
+                        both_ways[1] += 1
+                        with pytest.raises(NotPermutation) as info:
+                            invert_niu(ctx, q0, g, i, c, delta)
+                        a, b = info.value.witness
+                        assert a != b and a in lam and b in lam
+                        assert h(a) == h(b)
+        assert min(both_ways) > 0 and permutes_S_not_F > 0
 
 
 class TestDescriptors:

@@ -135,6 +135,18 @@ class TestDescriptorFiles:
         assert code == 0
         assert json.loads(out)["certified"] is True
 
+    def test_invert_niu_permuting_lambda_image_only(self, tmp_path, capsys):
+        # with c = 1, h(y) = g(y)^3 - g(y) + y collides on F (2, 5 and 8
+        # all map to 2) but permutes S = lambda(F), so f permutes F
+        doc = {"family": "niu", "field": {"p": 3, "n": 2}, "q": 3,
+               "g": "6 + 7*x + x^2", "i": 1, "c": 1, "delta": 7}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["invert", "--file", str(path)]) == 0
+        f = (3, 4, 5, 8, 6, 7, 2, 0, 1)
+        inverse = [f.index(x) for x in range(9)]
+        assert json.loads(capsys.readouterr().out)["table"] == inverse
+
     def test_agw_verify(self, tmp_path):
         lam = [(x * x) % 7 for x in range(7)]
         S = sorted(set(lam))

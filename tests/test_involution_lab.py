@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from ppinv import (check_add_involution, check_hybrid_involution,
-                   check_mul_involution, check_translator_involution,
-                   hybrid_family, invert_multiplicative, make_kuozhan,
-                   make_trace_gadget, make_zero_translator, mul_family,
-                   parse_poly_expr, rel_trace, subfield_elements,
-                   translator_family, add_family)
+from ppinv import (build_field, check_add_involution,
+                   check_hybrid_involution, check_mul_involution,
+                   check_translator_involution, hybrid_family,
+                   invert_multiplicative, make_kuozhan, make_trace_gadget,
+                   make_zero_translator, mul_family, parse_poly_expr,
+                   rel_trace, subfield_elements, translator_family,
+                   add_family)
 from ppinv.errors import (BadK, ConditionFail, NotInSubfield, NotTranslator,
                           OddChar, OddN, TraceNonzero)
 
@@ -242,6 +243,13 @@ class TestMakeTraceGadget:
         assert _involution_table(fam.f_table)
         assert fam.f_table != tuple(range(256))
 
+    @pytest.mark.parametrize("q, base", [(4, 2), (16, 4), (256, 16)])
+    def test_lambda_is_the_relative_trace(self, q, base):
+        ctx = field_of(q)
+        fam = make_trace_gadget(ctx, base, parse_poly_expr("x^2 + 1", ctx))
+        e = base.bit_length() - 1
+        assert fam.lam == tuple(rel_trace(ctx, e, x) for x in ctx.elements())
+
     def test_odd_n(self):
         with pytest.raises(OddN):
             make_trace_gadget(field_of(8), 2, parse_poly_expr("x", field_of(8)))
@@ -283,6 +291,16 @@ class TestMakeZeroTranslator:
             make_zero_translator(ctx, 2, [1, 0, 0],
                                  parse_poly_expr("x", ctx), bad_gamma)
         assert err.value.witness is not None
+
+    def test_family_check_covers_span_of_lambda_image(self):
+        # gamma = 1 passes the 0-linear translator law over GF(2), but
+        # lambda(F) spans more than GF(2), and the family's own check over
+        # an F_p-basis of that span rejects it
+        ctx = build_field(2, 3)
+        with pytest.raises(NotTranslator) as err:
+            make_zero_translator(ctx, 2, [4, 0], parse_poly_expr("x", ctx), 1)
+        assert str(err.value).startswith("lambda(x + u*gamma) != ")
+        assert err.value.witness == (0, 2)
 
     def test_double_indexed_extension(self):
         ctx = field_of(16)
