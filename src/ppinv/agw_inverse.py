@@ -28,8 +28,8 @@ from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
 from .gf_core import (FieldCtx, MuSubgroup, check_int, check_ints,
                       check_object, ext_gcd, field_from_json, mu_subgroup,
                       p_power_degree)
-from .perm_core import (MapLike, PermTable, _materialize, _small_inverse,
-                        brute_inverse, certify)
+from .perm_core import (MapLike, PermTable, _map_of_pairs, _materialize,
+                        _small_inverse, brute_inverse, certify)
 from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
                         tabulate)
 
@@ -564,7 +564,7 @@ def family_from_descriptor(doc: dict):
             g0_poly = parse_poly_expr(g0, ctx)
             g0 = {s: eval_poly(g0_poly, s) for s in set(lam)}
         elif isinstance(g0, dict):  # JSON object keys are strings
-            g0 = {int(k): v for k, v in g0.items()}
+            g0 = _map_of_pairs(((int(k), v) for k, v in g0.items()), "g0")
         return kind, add_family(ctx, g, g0, lam, lam_bar)
     if kind == "hybrid":
         h = _poly_param(ctx, doc["h"])

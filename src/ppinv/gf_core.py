@@ -172,14 +172,13 @@ class FieldCtx:
     ``_zech`` is None.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_mask", "_exp", "_log", "_zech")
+    __slots__ = ("p", "n", "q", "modulus", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, n: int, modulus: tuple):
         self.p = p
         self.n = n
         self.q = p ** n
         self.modulus = modulus
-        self._mask = self.pack(modulus)  # a bit mask when p = 2
         self._exp, self._log = self._build_log_tables()
         self._zech = None
         if self.p != 2 and self.n > 1:
@@ -262,18 +261,6 @@ class FieldCtx:
         p, n = self.p, self.n
         if n == 1:
             return (a * b) % p
-        if p == 2:
-            # carry-less product, then clear the bits of degree >= n
-            prod = 0
-            while b:
-                if b & 1:
-                    prod ^= a
-                a <<= 1
-                b >>= 1
-            for i in range(prod.bit_length() - 1, n - 1, -1):
-                if prod >> i & 1:
-                    prod ^= self._mask << (i - n)
-            return prod
         da, db = self.digits(a), self.digits(b)
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(da):
@@ -301,22 +288,60 @@ class FieldCtx:
         return acc
 
     def _build_log_tables(self):
-        q = self.q
+        """exp[i] = g^i for the least primitive element g >= 2, and log its
+        inverse (log[0] = -1), walked one multiplication by g at a time.
+
+        x -> g*x is F_p-linear, and a packed x is the digit-wise sum of its
+        low k = n // 2 base-p digits and its high ones, so g*x is the
+        digit-wise sum mod p of two images read from tables of p^k and
+        p^(n-k) entries, each made once by :meth:`_raw_mul`.  When p = 2
+        that sum is an XOR.  For odd p with 2*(p-1) < 256 (p <= 127) the
+        images are held one digit per byte: two of them add without carry
+        between bytes, and one ``bytes.translate`` reduces every digit mod
+        p.  Everywhere else (n = 1, or p >= 131) each step is one
+        :meth:`_raw_mul`.  Every step computes g*x exactly, so the tables
+        do not depend on the path.
+        """
+        q, p, n = self.q, self.p, self.n
         if q == 2:
             return [1], [-1, 0]
         fac = sorted(set(_prime_factors(q - 1)))
-        gen = None
-        for cand in range(2, q):
-            if all(self._raw_pow(cand, (q - 1) // f) != 1 for f in fac):
-                gen = cand
-                break
+        gen = next(g for g in range(2, q)
+                   if all(self._raw_pow(g, (q - 1) // f) != 1 for f in fac))
+        k = n // 2
+        P = p ** k
+
+        def images(encode):
+            return ([encode(self._raw_mul(gen, x)) for x in range(P)],
+                    [encode(self._raw_mul(gen, y * P)) for y in range(q // P)])
+
+        if p == 2:
+            lo, hi = images(int)
+
+            def times_gen(x):
+                return lo[x % P] ^ hi[x // P]
+        elif n > 1 and 2 * (p - 1) < 256:
+            def digit_bytes(x):  # little-endian base-p digits, one a byte
+                return bytes(self.digits(x))
+
+            lo, hi = images(lambda x: int.from_bytes(digit_bytes(x), "little"))
+            lo_at = {digit_bytes(x)[:k]: x for x in range(P)}
+            hi_at = {digit_bytes(y * P)[k:]: y * P for y in range(q // P)}
+            mod_p = bytes(v % p for v in range(256))
+
+            def times_gen(x):
+                d = (lo[x % P] + hi[x // P]).to_bytes(n, "little")
+                d = d.translate(mod_p)
+                return lo_at[d[:k]] + hi_at[d[k:]]
+        else:
+            def times_gen(x):
+                return self._raw_mul(x, gen)
         exp = [1] * (q - 1)
+        for i in range(1, q - 1):
+            exp[i] = times_gen(exp[i - 1])
         log = [-1] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._raw_mul(cur, gen)
+        for i, x in enumerate(exp):
+            log[x] = i
         return exp, log
 
     def mul(self, a: int, b: int) -> int:

@@ -95,6 +95,17 @@ def _small_inverse(pairs: Iterable, label: str,
     return inv
 
 
+def _map_of_pairs(pairs: Iterable, name: str) -> dict:
+    """The dict of (s, value) ``pairs``; an s named twice raises
+    ``ValueError`` instead of letting its last value win."""
+    out: dict = {}
+    for s, v in pairs:
+        if s in out:
+            raise ValueError(f"{name} names the element {s} more than once")
+        out[s] = v
+    return out
+
+
 def brute_inverse(t: PermTable) -> PermTable:
     """The inverse permutation: result[t[i]] = i for every i."""
     inv = [0] * len(t)
@@ -171,8 +182,10 @@ def agw_diagram(ctx: FieldCtx, f: MapLike, lam: MapLike, lam_bar: MapLike,
         raise ValueError("lambda maps outside the declared S")
     if not set(bar_t) <= set(Sb_t):
         raise ValueError("lambda_bar maps outside the declared S_bar")
-    g_d = {check_int(k, "g key", 0, q): check_int(v, "g value", 0, q)
-           for k, v in (g.items() if isinstance(g, Mapping) else g)}
+    pairs = g.items() if isinstance(g, Mapping) else g
+    g_d = _map_of_pairs(((check_int(k, "g key", 0, q),
+                          check_int(v, "g value", 0, q))
+                         for k, v in pairs), "g")
     if set(g_d) != set(S_t):
         raise ValueError("g must be defined on exactly the elements of S")
     return AgwDiagram(ctx, f_t, lam_t, bar_t, g_d, S_t, Sb_t)

@@ -2,6 +2,10 @@
 reduction modulo x^q - x, interpolation, and linearized-polynomial
 inversion.
 
+Every polynomial, :class:`PolyFq` and :class:`LinearizedPoly` alike,
+carries its nonzero terms, and one routine evaluates both: one exp-table
+lookup per term, and p(0) is the constant term (0^0 = 1, 0^e = 0, e >= 1).
+
 :func:`interpolate` reads closed-form coefficients off the Fourier
 transform on F_q^* (:func:`ppinv.gf_core.unit_dft`), O(q * sum of the prime
 factors of q-1), and certifies them by evaluating back at every element.
@@ -29,6 +33,7 @@ fold in a loop; parentheses and traces nested too deeply to parse raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Sequence
 
@@ -51,6 +56,11 @@ class PolyFq:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The (exponent, coefficient) pairs with c != 0, ascending."""
+        return tuple((e, c) for e, c in enumerate(self.coeffs) if c)
 
 
 def make_poly(ctx: FieldCtx, coeffs: Sequence[int]) -> PolyFq:
@@ -99,14 +109,10 @@ def _coefficientwise(a: PolyFq, b: PolyFq, op) -> PolyFq:
 def poly_mul(a: PolyFq, b: PolyFq) -> PolyFq:
     _require_same_ctx(a, b)
     ctx = a.ctx
-    if not a.coeffs or not b.coeffs:
-        return zero(ctx)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                if bj:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
+    for i, ai in a.terms:
+        for j, bj in b.terms:
+            out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
     return make_poly(ctx, out)
 
 
@@ -122,10 +128,9 @@ def reduce_mod_field(p: PolyFq) -> PolyFq:
         return make_poly(p.ctx, p.coeffs)
     acc = [0] * q
     ctx = p.ctx
-    for e, c in enumerate(p.coeffs):
-        if c:
-            e2 = _fold_exponent(e, q)
-            acc[e2] = ctx.add(acc[e2], c)
+    for e, c in p.terms:
+        e2 = _fold_exponent(e, q)
+        acc[e2] = ctx.add(acc[e2], c)
     return make_poly(ctx, acc)
 
 
@@ -155,33 +160,32 @@ def poly_frob(p: PolyFq, k: int) -> PolyFq:
     ctx = p.ctx
     pk = ctx.p ** k
     acc = {}
-    for e, c in enumerate(p.coeffs):
-        if c:
-            e2 = _fold_exponent(e * pk, ctx.q)
-            acc[e2] = ctx.add(acc.get(e2, 0), ctx.frob(c, k))
+    for e, c in p.terms:
+        e2 = _fold_exponent(e * pk, ctx.q)
+        acc[e2] = ctx.add(acc.get(e2, 0), ctx.frob(c, k))
     cs = [0] * (max(acc, default=-1) + 1)
     for e2, c in acc.items():
         cs[e2] = c
     return make_poly(ctx, cs)
 
 
-def eval_poly(p: PolyFq, x: int) -> int:
-    """Horner evaluation (a term-by-term power path is used for very sparse
-    polynomials; the value is identical)."""
-    ctx = p.ctx
-    coeffs = p.coeffs
-    if not coeffs:
-        return 0
-    nonzero = [(e, c) for e, c in enumerate(coeffs) if c]
-    if len(nonzero) * 6 < len(coeffs):
-        acc = 0
-        for e, c in nonzero:
-            acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
-        return acc
+def _eval_terms(ctx: FieldCtx, terms: tuple, x: int) -> int:
+    """The sum of c * x^e over ascending ``terms``: one lookup
+    exp[(log c + e log x) mod (q-1)] per term; at x = 0 the e = 0 term."""
+    if x == 0:
+        return terms[0][1] if terms and terms[0][0] == 0 else 0
+    exp, log, add, qm1 = ctx._exp, ctx._log, ctx.add, ctx.q - 1
+    lx = log[x]
     acc = 0
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
+    for e, c in terms:
+        acc = add(acc, exp[(log[c] + e * lx) % qm1])
     return acc
+
+
+def eval_poly(p: PolyFq, x: int) -> int:
+    """p(x), summed over the nonzero terms of p (0^0 = 1, so p(0) is the
+    constant coefficient); O(number of terms), whatever the degree."""
+    return _eval_terms(p.ctx, p.terms, x)
 
 
 def tabulate(p: PolyFq) -> list:
@@ -226,15 +230,10 @@ def print_poly(p: PolyFq) -> str:
     """Low-to-high printed form, e.g. ``2 + x + 5*x^3``; parses back to the
     same polynomial."""
     terms = []
-    for e, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        if e == 0:
-            terms.append(str(c))
-            continue
+    for e, c in p.terms:
         base = "x" if e == 1 else f"x^{e}"
-        terms.append(base if c == 1 else f"{c}*{base}")
-    return " + ".join(terms) if terms else "0"
+        terms.append(str(c) if e == 0 else base if c == 1 else f"{c}*{base}")
+    return " + ".join(terms) or "0"
 
 
 # expression parser
@@ -380,6 +379,12 @@ class LinearizedPoly:
     base: int
     coeffs: tuple
 
+    @cached_property
+    def terms(self) -> tuple:
+        """The (q0^i, c_i) pairs with c_i != 0; validates the base."""
+        q0 = self.ctx.p ** p_power_degree(self.ctx, self.base)
+        return tuple((q0 ** i, c) for i, c in enumerate(self.coeffs) if c)
+
 
 def linearized(ctx: FieldCtx, base: int, coeffs: Sequence[int]) -> LinearizedPoly:
     m = ctx.n // p_power_degree(ctx, base)
@@ -391,15 +396,7 @@ def linearized(ctx: FieldCtx, base: int, coeffs: Sequence[int]) -> LinearizedPol
 
 
 def linearized_eval(L: LinearizedPoly, x: int) -> int:
-    ctx = L.ctx
-    d = p_power_degree(ctx, L.base)
-    acc = 0
-    cur = x
-    for c in L.coeffs:
-        if c:
-            acc = ctx.add(acc, ctx.mul(c, cur))
-        cur = ctx.frob(cur, d)
-    return acc
+    return _eval_terms(L.ctx, L.terms, x)
 
 
 def linearized_tabulate(L: LinearizedPoly) -> list:

@@ -20,6 +20,10 @@ full pairwise premise checks, O(q^2) and O(|S| q), that ``add_family``,
 ``translator_family`` and ``make_zero_translator`` made before they checked
 only a basis; the differential tests compare the verdicts.
 
+:func:`horner_eval` and :func:`frobenius_chain_eval` are the pointwise
+evaluations that ``eval_poly`` and ``linearized_eval`` made before both
+summed the nonzero terms in log coordinates.
+
 :func:`identity_table`, :func:`compose_tables`, :func:`is_identity`,
 :func:`f_inv` and :func:`compose` are small map and polynomial helpers that
 only the tests use.  :func:`expressions` draws random expression trees
@@ -33,8 +37,8 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from ppinv import (PermTable, add_family, agw_diagram, build_field,
-                   hybrid_family, make_poly, mul_family, rel_trace,
-                   subfield_elements, translator_family)
+                   hybrid_family, make_poly, mul_family, p_power_degree,
+                   rel_trace, subfield_elements, translator_family)
 from ppinv.errors import CtxMismatch, LengthMismatch, PPInvError
 from ppinv.poly_expr import (constant, poly_add, poly_mul, reduce_mod_field,
                              zero)
@@ -200,6 +204,27 @@ def reference_translator(ctx, lam, gamma, b, S):
                     != ctx.add(lam[x], ctx.mul(u, b))):
                 return x, u
     return None
+
+
+def horner_eval(p, x):
+    """p(x) by Horner's rule over the dense coefficients."""
+    ctx = p.ctx
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
+
+
+def frobenius_chain_eval(L, x):
+    """L(x) = sum of c_i * x^(q0^i), each x^(q0^i) the Frobenius x -> x^q0
+    applied to the one before."""
+    ctx = L.ctx
+    d = p_power_degree(ctx, L.base)
+    acc, cur = 0, x
+    for c in L.coeffs:
+        acc = ctx.add(acc, ctx.mul(c, cur))
+        cur = ctx.frob(cur, d)
+    return acc
 
 
 def identity_table(ctx):

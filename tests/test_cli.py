@@ -357,6 +357,29 @@ class TestErrorsAndExitCodes:
         assert out == "" and "bad input" in err
         assert "Traceback" not in err
 
+    # "1" and "01" are one element: whichever came last would win
+    @pytest.mark.parametrize("g0", [{"0": 0, "1": 0, "01": 1},
+                                    {"0": 0, "01": 1, "1": 0}])
+    def test_repeated_g0_key_exit_2(self, tmp_path, capsys, g0):
+        doc = {"family": "add", "field": {"p": 2, "n": 2}, "g": "x",
+               "lambda": "Tr{1}(x)", "g0": g0}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["invert", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "g0 names the element 1 more than once" in err
+
+    @pytest.mark.parametrize("g", [[[0, 0], [1, 1], [1, 0]],
+                                   [[0, 0], [1, 0], [1, 1]]])
+    def test_repeated_agw_g_pair_exit_2(self, tmp_path, capsys, g):
+        doc = {"field": {"p": 2, "n": 1}, "f": [0, 1], "lambda": [0, 1],
+               "lambda_bar": [0, 1], "g": g, "S": [0, 1], "S_bar": [0, 1]}
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["agw-verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "g names the element 1 more than once" in err
+
     @pytest.mark.parametrize("override", [
         {"S": 5}, {"S_bar": 5},
         {"lambda": [0, 0, 0], "S": [0, 7], "g": [[0, 0], [7, 0]]},

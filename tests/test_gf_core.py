@@ -176,7 +176,10 @@ class TestOneTablePath:
     """Every field up to the enumeration bound has exp/log tables; they and
     the arithmetic read from them agree with the digit-vector reference."""
 
-    @pytest.mark.parametrize("q", prime_powers(1024) + [1 << 12, 1 << 16])
+    # GF(127^2) and GF(131^2) lie on either side of the byte bound of the
+    # walk in FieldCtx._build_log_tables
+    @pytest.mark.parametrize("q", prime_powers(1024) + [1 << 12, 1 << 16,
+                                                        127 ** 2, 131 ** 2])
     def test_tables_match_reference(self, q):
         ctx = field_of(q)
         assert (ctx._exp, ctx._log) == reference_log_tables(ctx)

@@ -15,7 +15,8 @@ from ppinv.errors import (BadTraceDegree, ConstantOutOfRange, CtxMismatch,
                           LengthMismatch, PolySyntaxError, Singular)
 from ppinv.poly_expr import linearized_tabulate, monomial, poly_frob
 
-from helpers import compose, expressions, field_of, prime_powers
+from helpers import (compose, expressions, field_of, frobenius_chain_eval,
+                     horner_eval, prime_powers)
 
 # every field with q <= 64 under every base q0 = p^e with e | n, and two
 # larger extensions
@@ -134,6 +135,46 @@ class TestEval:
         p = make_poly(ctx, [0] * 60 + [5])  # sparse: one term
         for x in ctx.elements():
             assert eval_poly(p, x) == ctx.mul(5, ctx.pow(x, 60))
+
+
+class TestEvalMatchesHorner:
+    """eval_poly and tabulate sum the nonzero terms in log coordinates;
+    Horner's rule over the dense coefficients is the reference."""
+
+    @pytest.mark.parametrize("q", prime_powers(256))
+    def test_every_shape(self, q):
+        ctx = field_of(q)
+        rng = random.Random(q)
+        sparse = [0] * q
+        for e in rng.sample(range(q), min(q, 3)):
+            sparse[e] = rng.randrange(1, q)
+        polys = [[], [1], [rng.randrange(1, q)], [0, 1], sparse,
+                 [rng.randrange(q) for _ in range(q // 2)],  # dense
+                 [rng.randrange(q) for _ in range(q - 1)] + [1],  # degree q-1
+                 [0] * (q - 1) + [rng.randrange(1, q)],  # x^(q-1) alone
+                 [0] + [rng.randrange(1, q) for _ in range(q - 1)]]
+        for coeffs in polys:
+            p = make_poly(ctx, coeffs)
+            expect = [horner_eval(p, x) for x in ctx.elements()]
+            assert tabulate(p) == expect
+            assert [eval_poly(p, x) for x in ctx.elements()] == expect
+            assert eval_poly(p, 0) == (p.coeffs[0] if p.coeffs else 0)
+
+
+class TestLinearizedEvalMatchesFrobeniusChain:
+    @pytest.mark.parametrize("q,base", [
+        (q, ctx.p ** e) for q in prime_powers(729) for ctx in [field_of(q)]
+        for e in range(1, ctx.n + 1) if ctx.n % e == 0])
+    def test_every_base(self, q, base):
+        ctx = field_of(q)
+        m = ctx.n // p_power_degree(ctx, base)
+        rng = random.Random(q * 31 + base)
+        for coeffs in ([0] * m, [1] + [0] * (m - 1),
+                       [rng.randrange(q) for _ in range(m)],
+                       [rng.randrange(1, q) for _ in range(m)]):
+            L = linearized(ctx, base, coeffs)
+            assert linearized_tabulate(L) == \
+                [frobenius_chain_eval(L, x) for x in ctx.elements()]
 
 
 class TestReduce:
