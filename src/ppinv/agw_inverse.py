@@ -7,12 +7,14 @@ holding the forward map and the induced small-set map g.  The two premises
 quantified over pairs cost O(q*n) by closure under addition: lambda_bar is
 additive iff lambda_bar(x + p^j) = lambda_bar(x) + lambda_bar(p^j) for every
 x and j < n, and gamma is a b-linear translator for every u in S iff for an
-F_p-basis of span(S) drawn from S (:func:`_span_basis`).  The
-``invert_*`` operations return the inverse as a :class:`PermTable`, certified
-against the forward table by :func:`ppinv.perm_core.certify`.  Each
-inverter finds the small-set inverse g^{-1} once, by brute force over the
-small set, which is the whole point of the reduction; only
-:func:`mul_family` does so up front, since a bijective g is its premise.
+F_p-basis of span(S) drawn from S (:func:`_check_translator`).  The
+involution constructors share that scan and the maps-into scan
+:func:`_values_in`.  The ``invert_*`` operations return the inverse as a
+:class:`PermTable`, certified against the forward table by
+:func:`ppinv.perm_core.certify`.  Each inverter finds the small-set inverse
+g^{-1} once, by brute force over the small set, which is the whole point of
+the reduction; only :func:`mul_family` does so up front, since a bijective
+g is its premise.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
                      NotInjectivePhi, NotInSubfield, NotTranslator,
                      SquareDoesNotCommute)
-from .gf_core import (FieldCtx, MuSubgroup, check_int, check_ints,
-                      check_object, ext_gcd, field_from_json, mu_subgroup,
-                      p_power_degree)
+from .gf_core import (FieldCtx, check_int, check_ints, check_object, ext_gcd,
+                      field_from_json, mu_subgroup, p_power_degree)
 from .perm_core import (MapLike, PermTable, _map_of_pairs, _materialize,
                         _small_inverse, brute_inverse, certify)
 from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
@@ -59,6 +60,35 @@ def _span_basis(ctx: FieldCtx, elems: Iterable[int]) -> list:
     return basis
 
 
+def _check_translator(ctx: FieldCtx, lam: Sequence[int], gamma: int, b: int,
+                      elems: Iterable[int]):
+    """Raise NotTranslator unless lam(x + u*gamma) = lam(x) + u*b for every
+    x and every u in elems.  The u that satisfy the law for every x are
+    closed under addition, so an F_p-basis of span(elems) checks them all."""
+    for u in _span_basis(ctx, elems):
+        ug = ctx.mul(u, gamma)
+        ub = ctx.mul(u, b)
+        for x in ctx.elements():
+            if lam[ctx.add(x, ug)] != ctx.add(lam[x], ub):
+                raise NotTranslator(
+                    f"lambda(x + u*gamma) != lambda(x) + u*b at "
+                    f"(x, u) = ({x}, {u})", witness=(x, u))
+
+
+def _values_in(poly: PolyFq, domain: Iterable[int], target: Iterable[int],
+               message: str) -> dict:
+    """{y: poly(y)} over domain, once every value lies in target; otherwise
+    ConditionFail with ``message.format(y)`` for the first y that leaves."""
+    target = set(target)
+    values = {}
+    for y in domain:
+        v = eval_poly(poly, y)
+        if v not in target:
+            raise ConditionFail(message.format(y), witness=y)
+        values[y] = v
+    return values
+
+
 # multiplicative family: f(x) = x^r h(x^s)
 
 @dataclass(frozen=True)
@@ -72,7 +102,7 @@ class MulFamily:
     s: int
     h: PolyFq
     ell: int
-    mu: MuSubgroup
+    mu: tuple
     a: int
     b: int
     h_on_mu: Mapping
@@ -90,13 +120,12 @@ def mul_family(ctx: FieldCtx, r: int, s: int, h: PolyFq) -> MulFamily:
     ell = (ctx.q - 1) // s
     mu = mu_subgroup(ctx, ell)
     h_on_mu = {}
-    for z in mu.elements:
+    for z in mu:
         v = eval_poly(h, z)
         if v == 0:
             raise HVanishes(f"h vanishes at {z} on mu_{ell}", witness=z)
         h_on_mu[z] = v
-    g_map = {z: ctx.mul(ctx.pow(z, r), ctx.pow(h_on_mu[z], s))
-             for z in mu.elements}
+    g_map = {z: ctx.mul(ctx.pow(z, r), ctx.pow(h_on_mu[z], s)) for z in mu}
     g_inv = _small_inverse(g_map.items(), f"g on mu_{ell}")
     a, b = ext_gcd(s, r)
     f = [0] * ctx.q
@@ -134,7 +163,7 @@ class MulClosedForm:
 
 def closed_form_mul(fam: MulFamily, n_exp: int, t: int) -> MulClosedForm:
     ctx = fam.ctx
-    for z in fam.mu.elements:
+    for z in fam.mu:
         if ctx.pow(fam.h_on_mu[z], fam.s) != ctx.pow(z, n_exp):
             raise ConditionFail(
                 f"h(z)^s != z^{n_exp} at z = {z}", witness=z)
@@ -254,14 +283,7 @@ def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
     if eval_poly(k, 0) != 0:
         raise ConditionFail("k(0) != 0")
     L = tuple(sorted(set(lam_t)))
-    S_set = set(S_t)
-    h_on_L = {}
-    for y in L:
-        v = eval_poly(h, y)
-        if v not in S_set:
-            raise ConditionFail(
-                f"h(lambda image) leaves S at y = {y}", witness=y)
-        h_on_L[y] = v
+    h_on_L = _values_in(h, L, S_t, "h(lambda image) leaves S at y = {}")
     k_on_S = {a: eval_poly(k, a) for a in S_t}
     for a in S_t:
         ka = k_on_S[a]
@@ -319,23 +341,8 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
     check_int(b, "b", 0, ctx.q)
     lam_t = tuple(_materialize(ctx, lam, "lambda"))
     S = tuple(sorted(set(lam_t)))
-    S_set = set(S)
-    G_on_S = {}
-    for y in S:
-        v = eval_poly(G, y)
-        if v not in S_set:
-            raise ConditionFail(f"G does not map S into S at {y}", witness=y)
-        G_on_S[y] = v
-    # the u that satisfy the law for every x are closed under addition, so
-    # checking an F_p-basis of span(S) drawn from S checks all of S
-    for u in _span_basis(ctx, S):
-        ug = ctx.mul(u, gamma)
-        ub = ctx.mul(u, b)
-        for x in ctx.elements():
-            if lam_t[ctx.add(x, ug)] != ctx.add(lam_t[x], ub):
-                raise NotTranslator(
-                    f"lambda(x + u*gamma) != lambda(x) + u*b at "
-                    f"(x, u) = ({x}, {u})", witness=(x, u))
+    G_on_S = _values_in(G, S, S, "G does not map S into S at {}")
+    _check_translator(ctx, lam_t, gamma, b, S)
     g_map = {y: ctx.add(y, ctx.mul(b, G_on_S[y])) for y in S}
     f = tuple(ctx.add(x, ctx.mul(gamma, G_on_S[lam_t[x]]))
               for x in ctx.elements())

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (CertificationFailed, NotCoprime, NotDivisor, NotPrime,
@@ -145,14 +144,6 @@ def _default_modulus(p: int, n: int) -> tuple:
         if _is_irreducible(cand, p):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-@dataclass(frozen=True)
-class MuSubgroup:
-    """The subgroup of ell-th roots of unity in F_q^*, sorted ascending."""
-
-    ell: int
-    elements: tuple
 
 
 class FieldCtx:
@@ -485,9 +476,10 @@ def rel_trace(ctx: FieldCtx, d: int, x: int) -> int:
     return acc
 
 
-def mu_subgroup(ctx: FieldCtx, ell: int) -> MuSubgroup:
-    """The ell-th roots of unity: the powers of g^((q-1)/ell) for the
-    table generator g, checked to be ell distinct ell-th roots of 1."""
+def mu_subgroup(ctx: FieldCtx, ell: int) -> tuple:
+    """The ell-th roots of unity in ascending order: the powers of
+    g^((q-1)/ell) for the table generator g, checked to be ell distinct
+    ell-th roots of 1."""
     if ell < 1 or (ctx.q - 1) % ell != 0:
         raise NotDivisor(f"ell = {ell} does not divide q - 1 = {ctx.q - 1}")
     elements = tuple(sorted(ctx._exp[::(ctx.q - 1) // ell]))
@@ -495,7 +487,7 @@ def mu_subgroup(ctx: FieldCtx, ell: int) -> MuSubgroup:
                                          for z in elements):
         raise CertificationFailed(f"the powers of g^((q-1)/{ell}) are not "
                                   f"{ell} distinct roots of unity")
-    return MuSubgroup(ell, elements)
+    return elements
 
 
 def ext_gcd(s: int, r: int) -> tuple:
@@ -514,7 +506,7 @@ def subfield_elements(ctx: FieldCtx, d: int) -> tuple:
     (p^d - 1)-th roots of unity."""
     if d < 1 or ctx.n % d != 0:
         raise NotDivisor(f"subfield degree {d} does not divide n = {ctx.n}")
-    return (0,) + mu_subgroup(ctx, ctx.p ** d - 1).elements
+    return (0,) + mu_subgroup(ctx, ctx.p ** d - 1)
 
 
 def field_to_json(ctx: FieldCtx) -> dict:

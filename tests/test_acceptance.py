@@ -95,7 +95,7 @@ def test_c2_closed_form_matches_theorem():
             r = rng.randrange(1, q)
             if math.gcd(r, s) != 1:
                 continue
-            c = rng.choice(mu_subgroup(ctx, s).elements)
+            c = rng.choice(mu_subgroup(ctx, s))
             j = rng.randrange(0, ell + 1)
             n_exp = (j * s) % ell
             if math.gcd(r + n_exp, ell) != 1:

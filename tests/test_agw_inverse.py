@@ -18,8 +18,8 @@ from ppinv import (GenericDiagram, PermTable, PhiMap, add_family,
                    invert_multiplicative, invert_niu, invert_translator,
                    invert_translator_linear, linearized, linearized_inverse,
                    linearized_tabulate, make_kuozhan, make_poly,
-                   make_zero_translator, mul_family, niu_forward,
-                   p_power_degree, parse_poly_expr, rel_trace,
+                   make_trace_gadget, make_zero_translator, mul_family,
+                   niu_forward, p_power_degree, parse_poly_expr, rel_trace,
                    subfield_elements, translator_family)
 from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
                           GammaZero, HVanishes, HVanishesOnImage, LambdaZero,
@@ -132,7 +132,7 @@ class TestClosedFormMul:
             if math.gcd(r, s) != 1:
                 continue
             from ppinv import mu_subgroup
-            c = rng.choice(mu_subgroup(ctx, s).elements)
+            c = rng.choice(mu_subgroup(ctx, s))
             j = rng.randrange(0, ell + 1)
             n_exp = (j * s) % ell
             if math.gcd(r + n_exp, ell) != 1:
@@ -461,6 +461,59 @@ class TestPremiseChecksAgainstFullChecks:
             for k, u in enumerate(basis):
                 earlier = elems[:elems.index(u)]
                 assert set(earlier) <= _span(ctx, basis[:k])
+
+
+def _premise_failures():
+    """One failing input for each constructor that runs a shared premise
+    scan: (call, error class, witness, message)."""
+    f4, f5, f9, f16 = field_of(4), field_of(5), field_of(9), field_of(16)
+
+    def poly(ctx, text):
+        return parse_poly_expr(text, ctx)
+
+    # 2*(x^2 + x) is 0 on GF(2) and 2 at the first element of GF(4)
+    # outside GF(2), and 2 lies outside GF(4) in GF(16)
+    return {
+        "hybrid_family maps-into": (
+            lambda: hybrid_family(f5, poly(f5, "x + 1"), poly(f5, "x"),
+                                  list(range(5)), [0, 1, 2]),
+            ConditionFail, 2, "h(lambda image) leaves S at y = 2"),
+        "translator_family maps-into": (
+            lambda: translator_family(f9, trace_table(f9, 1), 1, 0,
+                                      poly(f9, "3*x")),
+            ConditionFail, 1, "G does not map S into S at 1"),
+        "make_trace_gadget maps-into": (
+            lambda: make_trace_gadget(f16, 4, poly(f16, "2*x^2 + 2*x")),
+            ConditionFail, 10, "g0 does not map GF(4) into itself at 10"),
+        "make_zero_translator maps-into": (
+            lambda: make_zero_translator(f16, 4, [1],
+                                         poly(f16, "2*x^2 + 2*x"), 1),
+            ConditionFail, 10, "G does not map GF(4) into itself at 10"),
+        "translator_family translator law": (
+            lambda: translator_family(f4, trace_table(f4, 1), 1, 1,
+                                      poly(f4, "x")),
+            NotTranslator, (0, 1),
+            "lambda(x + u*gamma) != lambda(x) + u*b at (x, u) = (0, 1)"),
+        "make_zero_translator translator law": (
+            lambda: make_zero_translator(f16, 2, [1, 0, 0], poly(f16, "x"),
+                                         2),
+            NotTranslator, (0, 1),
+            "lambda(x + u*gamma) != lambda(x) + u*b at (x, u) = (0, 1)"),
+    }
+
+
+class TestSharedPremiseScans:
+    """The family constructors and the involution constructors run the same
+    maps-into and translator-law scans; each call site rejects its failing
+    input with the same class, witness and message."""
+
+    @pytest.mark.parametrize("site", sorted(_premise_failures()))
+    def test_rejection(self, site):
+        call, error, witness, message = _premise_failures()[site]
+        with pytest.raises(error) as err:
+            call()
+        assert err.value.witness == witness
+        assert str(err.value) == message
 
 
 class TestPhiBuilders:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,10 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinv import cli, family_from_descriptor, parse_poly_expr, tabulate
+from ppinv import (cli, family_from_descriptor, field_to_json,
+                   parse_poly_expr, tabulate)
 from ppinv.errors import CertificationFailed
 
-from helpers import expressions, field_of
+from helpers import (ACCEPTANCE_FIELDS, add_instances, expressions, field_of,
+                     hybrid_instances, mul_instances, niu_instances,
+                     reference_add, reference_mul, reference_neg,
+                     reference_pow, translator_instances)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -579,6 +584,94 @@ class TestBoundaryProperty:
             assert out.getvalue() == "", doc
         else:
             json.loads(out.getvalue())
+
+
+def _text(poly):
+    """A polynomial in the grammar, written from its coefficients."""
+    return " + ".join(f"{c}*x^{e}" for e, c in enumerate(poly.coeffs)
+                      if c) or "0"
+
+
+def _reference_eval(ctx, poly, x):
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = reference_add(ctx, reference_mul(ctx, acc, x), c)
+    return acc
+
+
+def _descriptor_and_forward(kind, fam):
+    """The descriptor of a family instance, and its forward table computed
+    with the reference arithmetic from the descriptor's own parameters."""
+    ctx = fam.ctx
+    doc = {"family": kind, "field": field_to_json(ctx)}
+    add, mul = (lambda a, b: reference_add(ctx, a, b),
+                lambda a, b: reference_mul(ctx, a, b))
+
+    def ev(poly, x):
+        return _reference_eval(ctx, poly, x)
+
+    if kind == "mul":
+        doc.update(r=fam.r, s=fam.s, h=_text(fam.h))
+        f = [mul(reference_pow(ctx, x, fam.r),
+                 ev(fam.h, reference_pow(ctx, x, fam.s)))
+             for x in range(ctx.q)]
+    elif kind == "add":
+        doc.update(g=list(fam.g), g0={str(k): v for k, v in fam.g0.items()})
+        doc["lambda"] = list(fam.lam)
+        f = [add(fam.g[x], fam.g0[fam.lam[x]]) for x in range(ctx.q)]
+    elif kind == "hybrid":
+        doc.update(h=_text(fam.h), k=_text(fam.k), S=list(fam.S))
+        doc["lambda"] = list(fam.lam)
+        f = [mul(x, ev(fam.h, fam.lam[x])) for x in range(ctx.q)]
+    elif kind == "translator":
+        doc.update(gamma=fam.gamma, b=fam.b, G=_text(fam.G))
+        doc["lambda"] = list(fam.lam)
+        f = [add(x, mul(fam.gamma, ev(fam.G, fam.lam[x])))
+             for x in range(ctx.q)]
+    else:
+        doc.update(q=fam.q, g=_text(fam.g), i=fam.i, c=fam.c,
+                   delta=fam.delta)
+        f = []
+        for x in range(ctx.q):
+            y = add(add(reference_pow(ctx, x, fam.q ** fam.i),
+                        reference_neg(ctx, x)), fam.delta)
+            f.append(add(ev(fam.g, y), mul(fam.c, x)))
+    return doc, f
+
+
+_GENERATORS = {"mul": mul_instances, "add": add_instances,
+               "hybrid": hybrid_instances, "translator": translator_instances,
+               "niu": niu_instances}
+
+
+class TestInvertAgainstReference:
+    """Seeded instances of all five families, written as descriptors: ppinv
+    invert exits 0 exactly when the reference forward table is a
+    permutation, and then prints its brute-force inverse."""
+
+    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    def test_table_is_the_reference_inverse(self, kind, tmp_path):
+        rng = random.Random(f"invert-{kind}")
+        exits = set()
+        for q in ACCEPTANCE_FIELDS:
+            for fam in _GENERATORS[kind](field_of(q), rng, 2):
+                doc, f = _descriptor_and_forward(kind, fam)
+                path = tmp_path / "fam.json"
+                path.write_text(json.dumps(doc))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.run(["invert", "--file", str(path)])
+                report = json.loads(out.getvalue())
+                if sorted(f) != list(range(q)):
+                    assert code == 1, (doc, report)
+                else:
+                    assert code == 0, (doc, report)
+                    inverse = [0] * q
+                    for x, y in enumerate(f):
+                        inverse[y] = x
+                    assert report["table"] == inverse, doc
+                exits.add(code)
+        assert 0 in exits
 
 
 # pieces inserted into drawn expression texts: grammar tokens, malformed

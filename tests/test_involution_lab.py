@@ -302,13 +302,6 @@ class TestMakeZeroTranslator:
         assert str(err.value).startswith("lambda(x + u*gamma) != ")
         assert err.value.witness == (0, 2)
 
-    def test_double_indexed_extension(self):
-        ctx = field_of(16)
-        beta = {(1, 2): 1, (1, 3): 1, (1, 4): 1, (2, 3): 0, (2, 4): 0,
-                (3, 4): 0}
-        fam = make_zero_translator(ctx, 2, beta, parse_poly_expr("x", ctx), 1)
-        assert _involution_table(fam.f_table)
-
     def test_f64_over_f4_degenerate_grid(self):
         # q = 4, n = 3: lambda = (b1 + b2)(x + x^16), whose image leaves
         # GF(4) whenever b1 != b2, so only the collapsed instances satisfy

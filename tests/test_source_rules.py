@@ -1,9 +1,14 @@
 """Rules on the library source itself, checked with the standard library."""
 
 import ast
+import importlib
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ppinv"
+import ppinv
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ppinv"
+BENCH = ROOT / "bench"
 
 
 def test_library_has_no_assert_statements():
@@ -50,3 +55,35 @@ def test_library_coerces_no_number_with_int():
     assert not found, f"int() outside the text parsers: {found}"
     # the allow-list names parsers that exist, so it cannot go stale
     assert TEXT_PARSERS <= {(name, scope) for name, scope, _ in calls}
+
+
+# The benchmark calls the library by name: tracing.py wraps the functions
+# in its LAYERS table, and workloads.py calls ppinv.<name>.  Both are read
+# as source, so a deletion or rename of one of these names fails here
+# rather than only in the benchmark's own smoke test.
+
+def _bench_tree(name):
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def test_traced_layers_exist():
+    layers = next(ast.literal_eval(node.value)
+                  for node in _bench_tree("tracing.py").body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS"
+                          for t in node.targets))
+    missing = [f"ppinv.{mod}.{fn}" for mod, fns in layers.items()
+               for fn in fns
+               if not callable(getattr(importlib.import_module(
+                   f"ppinv.{mod}"), fn, None))]
+    assert layers and not missing, f"traced names missing: {missing}"
+
+
+def test_workload_names_exist():
+    # reads of ppinv.<name> and self.ppinv.<name>
+    names = {node.attr for node in ast.walk(_bench_tree("workloads.py"))
+             if isinstance(node, ast.Attribute)
+             and (getattr(node.value, "id", None) == "ppinv"
+                  or getattr(node.value, "attr", None) == "ppinv")}
+    missing = sorted(name for name in names if not hasattr(ppinv, name))
+    assert names and not missing, f"ppinv names missing: {missing}"
