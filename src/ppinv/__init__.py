@@ -8,7 +8,7 @@ Every inverse returned here has certified itself over the whole field
 
 from .errors import PPInvError
 from .gf_core import (FieldCtx, build_field, ext_gcd, field_from_json,
-                      field_to_json, mu_subgroup, p_power_degree, rel_trace,
+                      field_to_json, mu_subgroup, p_power_degree,
                       subfield_elements)
 from .poly_expr import (LinearizedPoly, PolyFq, eval_poly, interpolate,
                         linearized, linearized_eval, linearized_inverse,

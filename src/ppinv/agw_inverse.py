@@ -3,13 +3,13 @@ permutation polynomials, plus the generic commutative-square pipeline the
 closed forms specialize.
 
 Each family constructor validates its hypotheses and freezes a record
-holding the forward map and the induced small-set map g.  The two premises
-quantified over pairs cost O(q*n) by closure under addition: lambda_bar is
-additive iff lambda_bar(x + p^j) = lambda_bar(x) + lambda_bar(p^j) for every
-x and j < n, and gamma is a b-linear translator for every u in S iff for an
-F_p-basis of span(S) drawn from S (:func:`_check_translator`).  The
-involution constructors share that scan and the maps-into scan
-:func:`_values_in`.  The ``invert_*`` operations return the inverse as a
+holding the forward map and the induced small-set map g.  Closure under
+addition checks the premises quantified over pairs: lambda_bar is additive
+iff lambda_bar(x) = lambda_bar(x - e) + lambda_bar(e) for x >= 1, e the
+place of x's top base-p digit, and gamma is a b-linear translator for all
+u in S iff for an F_p-basis of span(S) drawn from S.  The involution
+constructors share that scan, :func:`_check_translator`, and the maps-into
+scan :func:`_values_in`.  The ``invert_*`` operations return the inverse as a
 :class:`PermTable`, certified against the forward table by
 :func:`ppinv.perm_core.certify`.  Each inverter finds the small-set inverse
 g^{-1} once, by brute force over the small set, which is the whole point of
@@ -31,8 +31,8 @@ from .gf_core import (FieldCtx, check_int, check_ints, check_object, ext_gcd,
                       field_from_json, mu_subgroup, p_power_degree)
 from .perm_core import (MapLike, PermTable, _map_of_pairs, _materialize,
                         _small_inverse, brute_inverse, certify)
-from .poly_expr import (PolyFq, eval_poly, interpolate, parse_poly_expr,
-                        tabulate)
+from .poly_expr import (PolyFq, eval_poly, interpolate, linearized,
+                        linearized_tabulate, parse_poly_expr, tabulate)
 
 
 def _span_basis(ctx: FieldCtx, elems: Iterable[int]) -> list:
@@ -217,16 +217,16 @@ def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
     missing = [s for s in S if s not in g0_d]
     if missing:
         raise ValueError(f"g0 is undefined on {missing[0]} in S")
-    # additive on every pair iff on every (x, p^j): x = 0 forces
-    # lambda_bar(0) = 0, and induction over the base-p digits of y does the rest
-    basis = [ctx.p ** j for j in range(ctx.n)]
-    for x in ctx.elements():
-        bx = bar_t[x]
-        for e in basis:
-            if bar_t[ctx.add(x, e)] != ctx.add(bx, bar_t[e]):
-                raise ConditionFail(
-                    f"lambda_bar is not additive at ({x}, {e})",
-                    witness=(x, e))
+    # additive iff bar(x) = bar(x - e) + bar(e) for x >= 1, e the top base-p
+    # place of x: x = e reads bar(0) = 0, and induction on x does the rest
+    e = 1
+    for x in ctx.units():
+        if x == e * ctx.p:
+            e = x
+        if bar_t[x] != ctx.add(bar_t[x - e], bar_t[e]):
+            raise ConditionFail(
+                f"lambda_bar is not additive at ({x - e}, {e})",
+                witness=(x - e, e))
     f = tuple(ctx.add(g_t[x], g0_d[lam_t[x]]) for x in ctx.elements())
     for x in ctx.elements():
         if bar_t[g0_d[lam_t[x]]] != 0:
@@ -475,7 +475,8 @@ class NiuFamily(NamedTuple):
 
 def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
                 delta: int) -> tuple:
-    """Forward table of f(x) = g(x^{q^i} - x + delta) + c*x."""
+    """Forward table of f(x) = g(x^{q^i} - x + delta) + c*x, pointwise: it
+    certifies :func:`invert_niu`, so it shares no table of lambda with it."""
     e = p_power_degree(ctx, q)
     check_int(i, "i", 0)
     check_int(c, "c", 0, ctx.q)
@@ -509,8 +510,8 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
         raise NotInSubfield(
             f"c = {c} is not in GF({q}^{d})^*", witness=c)
     sigma = e * i
-    lam = [ctx.add(ctx.sub(ctx.frob(x, sigma), x), delta)
-           for x in ctx.elements()]
+    x_sigma_minus_x = linearized(ctx, q, [ctx.neg(1)] + [0] * (i - 1) + [1])
+    lam = [ctx.add(v, delta) for v in linearized_tabulate(x_sigma_minus_x)]
     shift = ctx.mul(ctx.sub(1, c), delta)
     g_sigma = {}
     h_pairs = []

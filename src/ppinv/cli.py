@@ -245,7 +245,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except (_UsageError, PolySyntaxError, FileNotFoundError) as exc:
+    except (_UsageError, PolySyntaxError, OSError) as exc:
         print(f"ppinv: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ValueError) as exc:

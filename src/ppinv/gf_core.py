@@ -71,21 +71,6 @@ def check_object(value, name: str) -> dict:
     return value
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(m: int) -> tuple:
     """The prime factors of m, ascending and repeated by multiplicity."""
     out = []
@@ -382,7 +367,7 @@ def build_field(p: int, n: int = 1,
     if p > 1 and p ** min(n, bits) > DEFAULT_ENUM_BOUND:
         raise TooLarge(f"q = {p}^{n} exceeds the enumeration bound "
                        f"{DEFAULT_ENUM_BOUND}")
-    if not _is_prime(p):
+    if _prime_factors(p) != (p,):  # also for p < 2, which has none
         raise NotPrime(f"p = {p} is not prime")
     if modulus is None:
         modulus = _default_modulus(p, n)
@@ -459,21 +444,6 @@ def p_power_degree(ctx: FieldCtx, base: int) -> int:
         raise ValueError(f"{base} is not a power of p = {ctx.p} with degree "
                          f"dividing n = {ctx.n}")
     return e
-
-
-def rel_trace(ctx: FieldCtx, d: int, x: int) -> int:
-    """Relative trace from GF(p^n) onto its degree-d subfield:
-    sum of x^(p^(d*i)) for i < n/d."""
-    if d < 1 or ctx.n % d != 0:
-        raise NotDivisor(f"trace degree {d} does not divide n = {ctx.n}")
-    acc = 0
-    cur = x
-    for _ in range(ctx.n // d):
-        acc = ctx.add(acc, cur)
-        cur = ctx.frob(cur, d)
-    if ctx.frob(acc, d) != acc:
-        raise CertificationFailed(f"trace of {x} left the subfield", witness=x)
-    return acc
 
 
 def mu_subgroup(ctx: FieldCtx, ell: int) -> tuple:

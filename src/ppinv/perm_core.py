@@ -235,11 +235,8 @@ def agw_verify(d: AgwDiagram) -> VerificationReport:
     bar_sur = set(d.lam_bar) == set(d.S_bar)
     commutes = all(d.lam_bar[d.f[x]] == d.g[d.lam[x]] for x in d.ctx.elements())
     g_bij = set(d.g.values()) == set(d.S_bar)
-    fibers: dict = {}
-    for x in d.ctx.elements():
-        fibers.setdefault(d.lam[x], []).append(x)
-    fiber_inj = all(
-        len({d.f[x] for x in xs}) == len(xs) for xs in fibers.values())
+    # f is injective on every lambda-fibre iff the pairs (lam(x), f(x)) differ
+    fiber_inj = len(set(zip(d.lam, d.f))) == d.ctx.q
     f_bij = len(set(d.f)) == d.ctx.q
     return VerificationReport(lam_sur, bar_sur, commutes, g_bij, fiber_inj,
                               f_bij)

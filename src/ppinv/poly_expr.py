@@ -400,7 +400,14 @@ def linearized_eval(L: LinearizedPoly, x: int) -> int:
 
 
 def linearized_tabulate(L: LinearizedPoly) -> list:
-    return [linearized_eval(L, x) for x in L.ctx.elements()]
+    """L on every element from L(p^j) alone: L(x) = L(x - e) + L(e), e the
+    place value of x's top base-p digit, one addition per element."""
+    ctx, table = L.ctx, [0]
+    for e in (ctx.p ** j for j in range(ctx.n)):
+        le = linearized_eval(L, e)
+        for _ in range(ctx.p - 1):
+            table += [ctx.add(v, le) for v in table[-e:]]
+    return table
 
 
 def linearized_inverse(L: LinearizedPoly) -> LinearizedPoly:

@@ -22,7 +22,9 @@ only a basis; the differential tests compare the verdicts.
 
 :func:`horner_eval` and :func:`frobenius_chain_eval` are the pointwise
 evaluations that ``eval_poly`` and ``linearized_eval`` made before both
-summed the nonzero terms in log coordinates.
+summed the nonzero terms in log coordinates.  :func:`rel_trace` is the
+Frobenius-chain trace the library kept beside ``linearized`` until it took
+every trace through it; the tests use it as the reference trace.
 
 :func:`identity_table`, :func:`compose_tables`, :func:`is_identity`,
 :func:`f_inv` and :func:`compose` are small map and polynomial helpers that
@@ -38,8 +40,7 @@ from hypothesis import strategies as st
 
 from ppinv import (NiuFamily, PermTable, add_family, agw_diagram,
                    build_field, hybrid_family, make_poly, mul_family,
-                   p_power_degree, rel_trace, subfield_elements,
-                   translator_family)
+                   p_power_degree, subfield_elements, translator_family)
 from ppinv.errors import CtxMismatch, LengthMismatch, PPInvError
 from ppinv.poly_expr import (constant, poly_add, poly_mul, reduce_mod_field,
                              zero)
@@ -224,6 +225,16 @@ def frobenius_chain_eval(L, x):
     acc, cur = 0, x
     for c in L.coeffs:
         acc = ctx.add(acc, ctx.mul(c, cur))
+        cur = ctx.frob(cur, d)
+    return acc
+
+
+def rel_trace(ctx, d, x):
+    """The relative trace of x onto the degree-d subfield: the sum of
+    x^(p^(d*i)) for i < n/d, each term the Frobenius of the one before."""
+    acc, cur = 0, x
+    for _ in range(ctx.n // d):
+        acc = ctx.add(acc, cur)
         cur = ctx.frob(cur, d)
     return acc
 

@@ -30,8 +30,8 @@ from ppinv.poly_expr import linearized_tabulate
 
 from helpers import (ACCEPTANCE_FIELDS, add_instances, diagram_instances,
                      field_of, hybrid_instances, is_inverse_pair,
-                     mul_instances, translator_instances, trace_kernel,
-                     trace_table)
+                     mul_instances, rel_trace, translator_instances,
+                     trace_kernel, trace_table)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -238,7 +238,6 @@ def add_family_checked(ctx, g, g0, lam):
 def _sweep_hybrid(ctx, out):
     p = ctx.p
     for m in (1, 2):
-        from ppinv import rel_trace
         lam = [rel_trace(ctx, 1, ctx.pow(x, m)) for x in ctx.elements()]
         k = make_poly(ctx, [0] * m + [1])
         coeff_space = itertools.product(range(p), repeat=3)

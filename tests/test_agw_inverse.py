@@ -19,7 +19,7 @@ from ppinv import (GenericDiagram, PermTable, PhiMap, add_family,
                    invert_translator_linear, linearized, linearized_inverse,
                    linearized_tabulate, make_kuozhan, make_poly,
                    make_trace_gadget, make_zero_translator, mul_family,
-                   niu_forward, p_power_degree, parse_poly_expr, rel_trace,
+                   niu_forward, p_power_degree, parse_poly_expr,
                    subfield_elements, translator_family)
 from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
                           GammaZero, HVanishes, HVanishesOnImage, LambdaZero,
@@ -32,7 +32,7 @@ from ppinv.agw_inverse import _span_basis
 from helpers import (add_instances, divisors, field_of, hybrid_instances,
                      identity_table, is_inverse_pair, linearized_table,
                      mul_instances, prime_powers, random_poly,
-                     reference_additive, reference_translator,
+                     reference_additive, reference_translator, rel_trace,
                      translator_instances, trace_kernel, trace_table)
 
 
@@ -461,6 +461,48 @@ class TestPremiseChecksAgainstFullChecks:
             for k, u in enumerate(basis):
                 earlier = elems[:elems.index(u)]
                 assert set(earlier) <= _span(ctx, basis[:k])
+
+
+class TestAdditivityWitness:
+    """add_family rejects a lambda_bar that breaks
+    lambda_bar(x) = lambda_bar(x - e) + lambda_bar(e), e the place value of
+    x's top base-p digit, at the least such x, with witness (x - e, e)."""
+
+    @staticmethod
+    def _witness(ctx, table):
+        with pytest.raises(ConditionFail) as err:
+            add_family(ctx, list(ctx.elements()), {s: 0 for s in table},
+                       table, table)
+        x, e = err.value.witness
+        assert str(err.value) == f"lambda_bar is not additive at ({x}, {e})"
+        return x, e
+
+    @staticmethod
+    def _linear(ctx):
+        rng = random.Random(ctx.q)
+        return linearized_table(ctx, [rng.randrange(ctx.q)
+                                      for _ in range(ctx.n)])
+
+    @pytest.mark.parametrize("q", [9, 16])
+    def test_nonzero_at_zero(self, q):
+        ctx = field_of(q)
+        table = self._linear(ctx)
+        table[0] = 1
+        assert self._witness(ctx, table) == (0, 1)
+
+    # the least changed x gives (x - e, e): in GF(9) 5 and 7 have e = 3,
+    # in GF(16) 11 and 13 have e = 8 and 6 has e = 4
+    @pytest.mark.parametrize("q,points,witness", [
+        (9, [5], (2, 3)), (9, [7, 5], (2, 3)), (9, [8, 7], (4, 3)),
+        (16, [11], (3, 8)), (16, [11, 6], (2, 4)), (16, [15, 13], (5, 8))])
+    def test_changed_points(self, q, points, witness):
+        ctx = field_of(q)
+        table = self._linear(ctx)
+        assert add_family(ctx, list(ctx.elements()), {s: 0 for s in table},
+                          table, table).lam_bar == tuple(table)
+        for x in points:
+            table[x] = ctx.add(table[x], 1)
+        assert self._witness(ctx, table) == witness
 
 
 def _premise_failures():

@@ -119,8 +119,7 @@ class TestFieldAndInterpolate:
 
 class TestDescriptorFiles:
     def test_invert_translator_descriptor(self, tmp_path):
-        from ppinv import rel_trace
-        from helpers import field_of
+        from helpers import field_of, rel_trace
         ctx = field_of(9)
         lam = [rel_trace(ctx, 1, x) for x in ctx.elements()]
         doc = {"family": "translator", "field": {"p": 3, "n": 2},
@@ -268,6 +267,15 @@ class TestErrorsAndExitCodes:
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("invert", "--file", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--file"], ["involution", "--file"],
+        ["agw-verify", "--file"], ["interpolate", "--p", "2", "--file"],
+        ["field", "--field-file"]])
+    def test_directory_as_file_exit_2(self, argv, tmp_path, capsys):
+        assert cli.run([*argv, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ppinv: ") and "Traceback" not in err
 
     def test_not_prime_rejection(self):
         code, out, _ = run_cli("field", "--p", "6")

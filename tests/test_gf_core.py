@@ -10,19 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppinv import (LinearizedPoly, build_field, ext_gcd, field_from_json, field_to_json, invert_niu, linearized,
-                   linearized_eval, make_kuozhan, mu_subgroup,
-                   p_power_degree, parse_poly_expr, rel_trace,
+                   linearized_eval, linearized_tabulate, make_kuozhan,
+                   mu_subgroup, p_power_degree, parse_poly_expr,
                    subfield_elements)
 from ppinv.errors import (NotCoprime, NotDivisor, NotPrime, Reducible,
                           TooLarge)
 
 from helpers import (f_inv, field_of, prime_powers, reference_add,
                      reference_log_tables, reference_mul, reference_neg,
-                     reference_pow)
+                     reference_pow, rel_trace)
 
 # odd prime powers that are not prime: the fields that add by Zech logarithms
 ODD_EXTENSIONS = [q for q in prime_powers(1024)
                   if q % 2 and any(q % d == 0 for d in range(3, q, 2))]
+
+
+def trace(ctx, d):
+    """The library's table of the relative trace onto the degree-d
+    subfield: the linearized polynomial sum of x^(p^(d*i)) for i < n/d."""
+    L = linearized(ctx, ctx.p ** d, [1] * (ctx.n // d))
+    return linearized_tabulate(L)
 
 
 class TestBuildField:
@@ -169,7 +176,7 @@ class TestLargeFieldRawPath:
             assert ctx.mul(x, f_inv(ctx, x)) == 1
             assert ctx.add(x, ctx.neg(x)) == 0
             assert ctx.pow(x, ctx.q - 1) == 1
-        assert rel_trace(ctx, 1, 54321) in (0, 1)
+        assert trace(ctx, 1)[54321] == rel_trace(ctx, 1, 54321) in (0, 1)
 
 
 class TestOneTablePath:
@@ -266,48 +273,47 @@ class TestZech:
 
 
 class TestRelTrace:
+    """The library trace, :func:`trace`, against the Frobenius-chain
+    reference :func:`helpers.rel_trace` and the defining power sum."""
+
     def test_f4_trace_of_one(self):
         ctx = field_of(4)
-        assert rel_trace(ctx, 1, 1) == ctx.add(1, ctx.mul(1, 1)) == 0
+        assert trace(ctx, 1)[1] == ctx.add(1, ctx.mul(1, 1)) == 0
 
     def test_f9_trace_of_two(self):
         ctx = field_of(9)
         # 2 + 2^3 computed independently
-        assert rel_trace(ctx, 1, 2) == ctx.add(2, ctx.pow(2, 3)) == 1
+        assert trace(ctx, 1)[2] == ctx.add(2, ctx.pow(2, 3)) == 1
 
     def test_trace_of_zero(self):
         for q in (4, 9, 16, 27):
-            assert rel_trace(field_of(q), 1, 0) == 0
-
-    def test_not_divisor(self):
-        with pytest.raises(NotDivisor):
-            rel_trace(field_of(4), 3, 1)
+            assert trace(field_of(q), 1)[0] == 0
 
     @pytest.mark.parametrize("q,d", [(16, 1), (16, 2), (64, 2), (64, 3),
                                      (27, 1), (25, 1)])
     def test_trace_matches_power_sum(self, q, d):
         ctx = field_of(q)
+        tr = trace(ctx, d)
         for x in ctx.elements():
             acc = 0
             for i in range(ctx.n // d):
                 acc = ctx.add(acc, ctx.pow(x, ctx.p ** (d * i)))
-            assert rel_trace(ctx, d, x) == acc
+            assert tr[x] == rel_trace(ctx, d, x) == acc
 
     @pytest.mark.parametrize("q,d", [(16, 2), (64, 3), (27, 1)])
     def test_trace_linear_and_frobenius_invariant(self, q, d):
         ctx = field_of(q)
         sub = subfield_elements(ctx, d)
+        tr = trace(ctx, d)
         for x in ctx.elements():
-            assert rel_trace(ctx, d, ctx.frob(x, d)) == rel_trace(ctx, d, x)
+            assert tr[ctx.frob(x, d)] == tr[x]
             for c in sub:
-                assert rel_trace(ctx, d, ctx.mul(c, x)) == \
-                    ctx.mul(c, rel_trace(ctx, d, x))
+                assert tr[ctx.mul(c, x)] == ctx.mul(c, tr[x])
 
     @pytest.mark.parametrize("q,d", [(16, 1), (16, 2), (64, 2), (9, 1)])
     def test_trace_surjective_onto_subfield(self, q, d):
         ctx = field_of(q)
-        assert {rel_trace(ctx, d, x) for x in ctx.elements()} == \
-            set(subfield_elements(ctx, d))
+        assert set(trace(ctx, d)) == set(subfield_elements(ctx, d))
 
 
 class TestMuSubgroup:

@@ -10,12 +10,13 @@ from ppinv import (build_field, check_add_involution,
                    check_translator_involution, hybrid_family,
                    invert_multiplicative, make_kuozhan, make_trace_gadget,
                    make_zero_translator, mul_family, parse_poly_expr,
-                   rel_trace, subfield_elements, translator_family,
+                   subfield_elements, translator_family,
                    add_family)
 from ppinv.errors import (BadK, ConditionFail, NotInSubfield, NotTranslator,
                           OddChar, OddN, TraceNonzero)
 
-from helpers import field_of, reference_translator, trace_kernel, trace_table
+from helpers import (field_of, reference_translator, rel_trace, trace_kernel,
+                     trace_table)
 
 
 def _involution_table(f_table):

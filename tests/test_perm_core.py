@@ -6,12 +6,11 @@ import random
 import pytest
 
 from ppinv import (PermTable, agw_diagram, agw_verify, as_permutation,
-                   brute_inverse, certify, cycle_structure, parse_poly_expr,
-                   rel_trace)
+                   brute_inverse, certify, cycle_structure, parse_poly_expr)
 from ppinv.errors import CertificationFailed, NotBijective, SizeMismatch
 
 from helpers import (compose_tables, diagram_instances, field_of,
-                     identity_table, is_identity)
+                     identity_table, is_identity, rel_trace)
 
 
 class TestAsPermutation:
@@ -162,6 +161,29 @@ class TestAgwVerify:
         with pytest.raises(SizeMismatch):
             agw_verify(agw_diagram(ctx, list(range(4)), lam, lam,
                                    {s: s for s in S}, S, S + [3]))
+
+    @pytest.mark.parametrize("q", [4, 9, 16])
+    def test_fiber_injective_matches_per_fiber_check(self, q):
+        # random f and lambda, premises or not: fiber_injective is whether f
+        # takes distinct values on the members of each lambda-fibre
+        ctx = field_of(q)
+        rng = random.Random(q * 11)
+        S = list(range(3))
+        seen = set()
+        for _ in range(40):
+            lam = [rng.choice(S) for _ in range(q)]
+            f = list(range(q))
+            rng.shuffle(f)
+            if rng.random() < 0.5:
+                f[rng.randrange(q)] = rng.randrange(q)
+            fibres = {}
+            for x in range(q):
+                fibres.setdefault(lam[x], []).append(f[x])
+            expect = all(len(set(v)) == len(v) for v in fibres.values())
+            d = agw_diagram(ctx, f, lam, lam, {s: s for s in S}, S, S)
+            assert agw_verify(d).fiber_injective == expect
+            seen.add(expect)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("q", [4, 8, 9, 16, 27])
     def test_equivalence_on_generated_diagrams(self, q):

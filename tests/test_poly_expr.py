@@ -177,6 +177,39 @@ class TestLinearizedEvalMatchesFrobeniusChain:
                 [frobenius_chain_eval(L, x) for x in ctx.elements()]
 
 
+class TestLinearizedTabulateFromBasis:
+    """linearized_tabulate evaluates L at the basis p^j alone and fills the
+    rest by L(x) = L(x - e) + L(e)."""
+
+    @pytest.mark.parametrize("q,base", [(16, 4), (27, 3), (25, 5), (64, 8)])
+    def test_evaluates_only_the_basis(self, q, base, monkeypatch):
+        import ppinv.poly_expr as poly_expr
+        ctx = field_of(q)
+        points = []
+
+        def recording_eval(L, x):
+            points.append(x)
+            return linearized_eval(L, x)
+
+        monkeypatch.setattr(poly_expr, "linearized_eval", recording_eval)
+        L = linearized(ctx, base, [3, 1])
+        table = linearized_tabulate(L)
+        assert points == [ctx.p ** j for j in range(ctx.n)]
+        assert table == [frobenius_chain_eval(L, x) for x in ctx.elements()]
+
+    # above the exhaustive cases: a seeded sample against both evaluators
+    @pytest.mark.parametrize("q", [1 << 17, 5 ** 7, 7 ** 6])
+    def test_seeded_points_large(self, q):
+        ctx = field_of(q)
+        rng = random.Random(q)
+        L = linearized(ctx, ctx.p, [rng.randrange(q) for _ in range(ctx.n)])
+        table = linearized_tabulate(L)
+        assert len(table) == q
+        for x in [0, 1, q - 1] + [rng.randrange(q) for _ in range(300)]:
+            assert table[x] == linearized_eval(L, x) == \
+                frobenius_chain_eval(L, x)
+
+
 class TestReduce:
     @pytest.mark.parametrize("q", [4, 5, 8, 9])
     def test_pointwise_preserving(self, q):
