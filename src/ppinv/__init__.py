@@ -22,10 +22,11 @@ from .agw_inverse import (AddFamily, GenericDiagram, HybridScaleFamily,
                           TranslatorFamily, add_family, build_phi_add,
                           build_phi_mul, closed_form_mul,
                           family_from_descriptor, generic_inverse,
-                          hybrid_family, invert_additive, invert_hybrid_scale,
-                          invert_multiplicative, invert_niu,
-                          invert_translator, invert_translator_linear,
-                          mul_family, niu_forward, translator_family)
+                          hybrid_family, invert, invert_additive,
+                          invert_hybrid_scale, invert_multiplicative,
+                          invert_niu, invert_translator,
+                          invert_translator_linear, mul_family, niu_family,
+                          niu_forward, translator_family)
 from .involution_lab import (CriterionReport, check_add_involution,
                              check_hybrid_involution, check_mul_involution,
                              check_translator_involution, make_kuozhan,

@@ -1,27 +1,27 @@
-"""Inverse construction for the four closed-form families of AGW
-permutation polynomials, plus the generic commutative-square pipeline the
-closed forms specialize.
+"""Inverse construction for the five families of AGW permutation
+polynomials, plus the generic commutative-square pipeline they specialize.
 
-Each family constructor validates its hypotheses and freezes a record
-holding the forward map and the induced small-set map g.  Closure under
-addition checks the premises quantified over pairs: lambda_bar is additive
-iff lambda_bar(x) = lambda_bar(x - e) + lambda_bar(e) for x >= 1, e the
-place of x's top base-p digit, and gamma is a b-linear translator for all
-u in S iff for an F_p-basis of span(S) drawn from S.  The involution
-constructors share that scan, :func:`_check_translator`, and the maps-into
-scan :func:`_values_in`.  The ``invert_*`` operations return the inverse as a
-:class:`PermTable`, certified against the forward table by
-:func:`ppinv.perm_core.certify`.  Each inverter finds the small-set inverse
-g^{-1} once, by brute force over the small set, which is the whole point of
-the reduction; only :func:`mul_family` does so up front, since a bijective
-g is its premise.
+Each family constructor validates its hypotheses and freezes a record with
+the same four parts: ``ctx``, the forward table ``f_table``, the induced
+small-set map ``g_map`` (named ``g_label`` in rejections) and ``lift``,
+which turns an inverse H of ``g_map`` into the whole inverse table.
+Closure under addition checks the premises quantified over pairs:
+lambda_bar is additive iff lambda_bar(x) = lambda_bar(x - e) +
+lambda_bar(e) for x >= 1, e the place of x's top base-p digit, and gamma is
+a b-linear translator for all u in S iff for an F_p-basis of span(S) drawn
+from S.  The involution constructors share that scan,
+:func:`_check_translator`, and the maps-into scan :func:`_values_in`.  One
+:func:`invert` serves every record: it finds H = g^{-1} once, by brute
+force over the small set, which is the whole point of the reduction, lifts
+H to F and certifies the table against ``f_table`` by
+:func:`ppinv.perm_core.certify`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (BPlusOneZero, ConditionFail, GammaZero, HVanishes,
                      HVanishesOnImage, LambdaZero, NotCoprime, NotDivisor,
@@ -89,6 +89,19 @@ def _values_in(poly: PolyFq, domain: Iterable[int], target: Iterable[int],
     return values
 
 
+def invert(fam) -> PermTable:
+    """f^{-1} of a family record: H = g^{-1} on the small set, lifted to F
+    by ``fam.lift`` and certified against ``fam.f_table``.  A ``g_map``
+    that is no bijection raises NotPermutation at its first collision."""
+    H = _small_inverse(fam.g_map, fam.g_label)
+    return certify(fam.f_table, PermTable(fam.ctx, tuple(fam.lift(H))))
+
+
+# the family-named entry points, kept for callers that name the family
+invert_multiplicative = invert_additive = invert_hybrid_scale = \
+    invert_translator = invert
+
+
 # multiplicative family: f(x) = x^r h(x^s)
 
 @dataclass(frozen=True)
@@ -107,8 +120,16 @@ class MulFamily:
     b: int
     h_on_mu: Mapping
     g_map: Mapping
-    g_inv: Mapping
     f_table: tuple
+    g_label = "g on mu_ell"
+
+    def lift(self, H: Mapping) -> list:
+        """f^{-1}(x) = A(x^s) * x^b with 0 -> 0, A(z) = H(z)^a h(H(z))^{-b}."""
+        ctx, b, s = self.ctx, self.b, self.s
+        A = {z: ctx.mul(ctx.pow(y, self.a), ctx.pow(self.h_on_mu[y], -b))
+             for z, y in H.items()}
+        return [ctx.mul(A[ctx.pow(x, s)], ctx.pow(x, b)) if x else 0
+                for x in ctx.elements()]
 
 
 def mul_family(ctx: FieldCtx, r: int, s: int, h: PolyFq) -> MulFamily:
@@ -126,24 +147,12 @@ def mul_family(ctx: FieldCtx, r: int, s: int, h: PolyFq) -> MulFamily:
             raise HVanishes(f"h vanishes at {z} on mu_{ell}", witness=z)
         h_on_mu[z] = v
     g_map = {z: ctx.mul(ctx.pow(z, r), ctx.pow(h_on_mu[z], s)) for z in mu}
-    g_inv = _small_inverse(g_map.items(), f"g on mu_{ell}")
+    _small_inverse(g_map, f"g on mu_{ell}")  # a bijective g is the premise
     a, b = ext_gcd(s, r)
     f = [0] * ctx.q
     for x in ctx.units():
         f[x] = ctx.mul(ctx.pow(x, r), h_on_mu[ctx.pow(x, s)])
-    return MulFamily(ctx, r, s, h, ell, mu, a, b, h_on_mu, g_map, g_inv,
-                     tuple(f))
-
-
-def invert_multiplicative(fam: MulFamily) -> PermTable:
-    """f^{-1}(x) = g^{-1}(x^s)^a * x^b * h(g^{-1}(x^s))^{-b}, with 0 -> 0."""
-    ctx = fam.ctx
-    images = [0] * ctx.q
-    for x in ctx.units():
-        y = fam.g_inv[ctx.pow(x, fam.s)]
-        images[x] = ctx.mul(ctx.mul(ctx.pow(y, fam.a), ctx.pow(x, fam.b)),
-                            ctx.pow(fam.h_on_mu[y], -fam.b))
-    return certify(fam.f_table, PermTable(ctx, tuple(images)))
+    return MulFamily(ctx, r, s, h, ell, mu, a, b, h_on_mu, g_map, tuple(f))
 
 
 @dataclass(frozen=True)
@@ -200,6 +209,14 @@ class AddFamily:
     S: tuple
     S_bar: tuple
     f_table: tuple
+    g_label = "g on F"
+    # the small-set map is g on all of F: the inverse applies g^{-1} there
+    g_map = property(lambda self: self.g)
+
+    def lift(self, H: Mapping) -> list:
+        """f^{-1}(x) = H(x - g0(H(lambda_bar(x))))."""
+        ctx, g0, bar = self.ctx, self.g0, self.lam_bar
+        return [H[ctx.sub(x, g0[H[bar[x]]])] for x in ctx.elements()]
 
 
 def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
@@ -241,17 +258,6 @@ def add_family(ctx: FieldCtx, g: MapLike, g0: Mapping, lam: MapLike,
     return AddFamily(ctx, g_t, g0_d, lam_t, bar_t, S, S_bar, f)
 
 
-def invert_additive(fam: AddFamily) -> PermTable:
-    """f^{-1}(x) = g^{-1}(x - g0(g^{-1}(lambda_bar(x))))."""
-    ctx = fam.ctx
-    g_inv = _small_inverse(enumerate(fam.g), "g on F")
-    images = []
-    for x in ctx.elements():
-        s = g_inv[fam.lam_bar[x]]
-        images.append(g_inv[ctx.sub(x, fam.g0[s])])
-    return certify(fam.f_table, PermTable(ctx, tuple(images)))
-
-
 # hybrid scaling family: f(x) = x * h(lambda(x))
 
 @dataclass(frozen=True)
@@ -270,6 +276,17 @@ class HybridScaleFamily:
     theta: Mapping
     g_map: Mapping
     f_table: tuple
+    g_label = "g(y) = y*k(h(y)) on the lambda image"
+
+    def lift(self, H: Mapping) -> list:
+        """f^{-1}(x) = (x - w + k(h(y))*y) / h(y) with w = lam(x) and
+        y = H(w), so x * u(w) + v(w) with u = 1/h(y), v = (k(h(y))*y - w) u."""
+        ctx, u, v = self.ctx, {}, {}
+        for w, y in H.items():
+            u[w] = ctx.inv(self.h_on_L[y])
+            v[w] = ctx.mul(ctx.sub(ctx.mul(self.theta[y], y), w), u[w])
+        return [ctx.add(ctx.mul(x, u[w]), v[w])
+                for x, w in enumerate(self.lam)]
 
 
 def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
@@ -302,19 +319,6 @@ def hybrid_family(ctx: FieldCtx, h: PolyFq, k: PolyFq, lam: MapLike,
     return HybridScaleFamily(ctx, h, k, lam_t, S_t, L, h_on_L, theta, g_map, f)
 
 
-def invert_hybrid_scale(fam: HybridScaleFamily) -> PermTable:
-    """f^{-1}(x) = (x - lam(x) + k(h(y))*y) / h(y) with y = g^{-1}(lam(x))."""
-    ctx = fam.ctx
-    g_inv = _small_inverse(fam.g_map.items(),
-                           "g(y) = y*k(h(y)) on the lambda image")
-    images = []
-    for x in ctx.elements():
-        y = g_inv[fam.lam[x]]
-        num = ctx.add(ctx.sub(x, fam.lam[x]), ctx.mul(fam.theta[y], y))
-        images.append(ctx.div(num, fam.h_on_L[y]))
-    return certify(fam.f_table, PermTable(ctx, tuple(images)))
-
-
 # translator family: f(x) = x + gamma * G(lambda(x))
 
 @dataclass(frozen=True)
@@ -332,6 +336,15 @@ class TranslatorFamily:
     G_on_S: Mapping
     g_map: Mapping
     f_table: tuple
+    g_label = "g(y) = y + b*G(y) on S"
+
+    def lift(self, H: Mapping) -> list:
+        """f^{-1}(x) = x + A(lam(x)), A(w) = (b-gamma) G(y) + y - w with
+        y = H(w)."""
+        ctx, coeff = self.ctx, self.ctx.sub(self.b, self.gamma)
+        A = {w: ctx.sub(ctx.add(ctx.mul(coeff, self.G_on_S[y]), y), w)
+             for w, y in H.items()}
+        return [ctx.add(x, A[w]) for x, w in enumerate(self.lam)]
 
 
 def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
@@ -347,19 +360,6 @@ def translator_family(ctx: FieldCtx, lam: MapLike, gamma: int, b: int,
     f = tuple(ctx.add(x, ctx.mul(gamma, G_on_S[lam_t[x]]))
               for x in ctx.elements())
     return TranslatorFamily(ctx, lam_t, gamma, b, G, S, G_on_S, g_map, f)
-
-
-def invert_translator(fam: TranslatorFamily) -> PermTable:
-    """f^{-1}(x) = (b-gamma) G(y) + y - lam(x) + x with y = g^{-1}(lam(x))."""
-    ctx = fam.ctx
-    g_inv = _small_inverse(fam.g_map.items(), "g(y) = y + b*G(y) on S")
-    coeff = ctx.sub(fam.b, fam.gamma)
-    images = []
-    for x in ctx.elements():
-        y = g_inv[fam.lam[x]]
-        val = ctx.add(ctx.mul(coeff, fam.G_on_S[y]), y)
-        images.append(ctx.add(val, ctx.sub(x, fam.lam[x])))
-    return certify(fam.f_table, PermTable(ctx, tuple(images)))
 
 
 def invert_translator_linear(fam: TranslatorFamily) -> PermTable:
@@ -461,9 +461,14 @@ def generic_inverse(d: GenericDiagram, f: PermTable) -> PermTable:
 
 # the difference-plus-scaling class f(x) = g(x^{q^i} - x + delta) + c x
 
-class NiuFamily(NamedTuple):
-    """Parameters of f(x) = g(x^{q^i} - x + delta) + c*x, in the argument
-    order of :func:`niu_forward` and :func:`invert_niu`."""
+@dataclass(frozen=True)
+class NiuFamily:
+    """f(x) = g(lam(x)) + c*x over GF(q^m), lam(x) = x^{q^i} - x + delta,
+    with c in the subfield GF(q^gcd(i,m))^*.  Since c^{q^i} = c,
+    lam o f = h o lam for h(y) = g(y)^{q^i} - g(y) + c*y + (1-c)*delta, so
+    h maps the small set S = lam(F) into itself; since c != 0, f is
+    injective on each fibre of lam.  So f is a permutation exactly when h
+    permutes S.  ``g_map`` is h on S."""
 
     ctx: FieldCtx
     q: int
@@ -471,6 +476,20 @@ class NiuFamily(NamedTuple):
     i: int
     c: int
     delta: int
+    lam: tuple
+    g_on_S: Mapping
+    g_map: Mapping
+    f_table: tuple
+    g_label = "h(y) = g(y)^(q^i) - g(y) + c*y + (1-c)*delta on S"
+
+    def lift(self, H: Mapping) -> list:
+        """f^{-1}(x) = c^{-1} (x - g(H(lam(x)))): lam(f^{-1}(x)) = H(lam(x)),
+        as lam o f = h o lam.  With x^{q^i} = lam(x) - delta + x this is
+        c^{-1} (x^{q^i} - g(H(w))^{q^i}) - H(w) + delta, w = lam(x)."""
+        ctx, g_on_S = self.ctx, self.g_on_S
+        c_inv = ctx.inv(self.c)
+        return [ctx.mul(c_inv, ctx.sub(x, g_on_S[H[w]]))
+                for x, w in enumerate(self.lam)]
 
 
 def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
@@ -487,20 +506,11 @@ def niu_forward(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
         for x in ctx.elements())
 
 
-def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
-               delta: int) -> PermTable:
-    """Inverse of f(x) = g(lam(x)) + c*x over GF(q^m), where
-    lam(x) = x^{q^i} - x + delta and c lies in the subfield
-    GF(q^gcd(i,m))^*:
-
-        f^{-1}(x) = c^{-1} (x^{q^i} - g(H(lam(x)))^{q^i}) - H(lam(x)) + delta,
-
-    where H is the inverse of h(y) = g(y)^{q^i} - g(y) + c*y + (1-c)*delta
-    on the small set S = lam(F).  Since c^{q^i} = c, lam o f = h o lam, so
-    h maps S into itself; since c != 0, f is injective on each fibre of
-    lam.  So f is a permutation exactly when h permutes S, and H is found
-    by brute force over S alone.
-    """
+def niu_family(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
+               delta: int) -> NiuFamily:
+    """The record of f(x) = g(x^{q^i} - x + delta) + c*x over GF(q^m), for
+    0 < i < m and c in GF(q^gcd(i,m))^*; its forward table is
+    :func:`niu_forward`'s."""
     e = p_power_degree(ctx, q)
     check_int(c, "c", 0, ctx.q)
     check_int(delta, "delta", 0, ctx.q)
@@ -509,27 +519,21 @@ def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
     if c == 0 or ctx.frob(c, e * d) != c:
         raise NotInSubfield(
             f"c = {c} is not in GF({q}^{d})^*", witness=c)
-    sigma = e * i
     x_sigma_minus_x = linearized(ctx, q, [ctx.neg(1)] + [0] * (i - 1) + [1])
-    lam = [ctx.add(v, delta) for v in linearized_tabulate(x_sigma_minus_x)]
+    lam = tuple(ctx.add(v, delta)
+                for v in linearized_tabulate(x_sigma_minus_x))
     shift = ctx.mul(ctx.sub(1, c), delta)
-    g_sigma = {}
-    h_pairs = []
-    for y in sorted(set(lam)):
-        gy = eval_poly(g, y)
-        g_sigma[y] = ctx.frob(gy, sigma)
-        h_pairs.append((y, ctx.add(
-            ctx.add(ctx.sub(g_sigma[y], gy), ctx.mul(c, y)), shift)))
-    H = _small_inverse(
-        h_pairs, "h(y) = g(y)^(q^i) - g(y) + c*y + (1-c)*delta on S")
-    c_inv = ctx.inv(c)
-    images = []
-    for x in ctx.elements():
-        Hw = H[lam[x]]
-        t = ctx.mul(c_inv, ctx.sub(ctx.frob(x, sigma), g_sigma[Hw]))
-        images.append(ctx.add(ctx.sub(t, Hw), delta))
-    return certify(niu_forward(ctx, q, g, i, c, delta),
-                   PermTable(ctx, tuple(images)))
+    g_on_S = {y: eval_poly(g, y) for y in sorted(set(lam))}
+    h = {y: ctx.add(ctx.add(ctx.sub(ctx.frob(gy, e * i), gy), ctx.mul(c, y)),
+                    shift) for y, gy in g_on_S.items()}
+    return NiuFamily(ctx, q, g, i, c, delta, lam, g_on_S, h,
+                     niu_forward(ctx, q, g, i, c, delta))
+
+
+def invert_niu(ctx: FieldCtx, q: int, g: PolyFq, i: int, c: int,
+               delta: int) -> PermTable:
+    """Inverse of f(x) = g(x^{q^i} - x + delta) + c*x (:class:`NiuFamily`)."""
+    return invert(niu_family(ctx, q, g, i, c, delta))
 
 
 # family descriptor files
@@ -555,7 +559,7 @@ def family_from_descriptor(doc: dict):
     grammar strings (or value tables), maps are tables, scalars are ints
     (:func:`~ppinv.gf_core.check_int`) and ``g0`` map keys decimal
     strings.  Returns ``(kind, family)`` where ``kind`` is the descriptor's
-    family string; the "niu" kind returns a :class:`NiuFamily`.
+    family string and ``family`` a record that :func:`invert` takes.
     """
     kind = check_object(doc, "descriptor")["family"]
     ctx = field_from_json(doc["field"])
@@ -585,6 +589,6 @@ def family_from_descriptor(doc: dict):
         return kind, translator_family(ctx, lam, doc["gamma"], doc["b"], G)
     if kind == "niu":
         g = _poly_param(ctx, doc["g"])
-        return kind, NiuFamily(ctx, doc["q"], g, doc["i"], doc["c"],
-                               doc["delta"])
+        return kind, niu_family(ctx, doc["q"], g, doc["i"], doc["c"],
+                                doc["delta"])
     raise ValueError(f"unknown family kind {kind!r}")

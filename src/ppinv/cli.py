@@ -18,9 +18,7 @@ import sys
 
 from .errors import (CertificationFailed, NotBijective, PPInvError,
                      PolySyntaxError)
-from .agw_inverse import (family_from_descriptor, invert_additive,
-                          invert_hybrid_scale, invert_multiplicative,
-                          invert_niu, invert_translator, mul_family)
+from .agw_inverse import family_from_descriptor, invert, mul_family
 from .gf_core import (build_field, check_object, field_from_json,
                       field_to_json)
 from .involution_lab import (check_add_involution, check_hybrid_involution,
@@ -105,14 +103,8 @@ def _cmd_check_pp(args) -> tuple:
     return 0, {"is_permutation": True}
 
 
-# The dispatch tables below are built at call time, so they pick up the
-# module's current bindings (which tracing tools may have replaced).
-
 def _cmd_invert(args) -> tuple:
-    kind, fam = _load_family(args)
-    invert = {"mul": invert_multiplicative, "add": invert_additive,
-              "hybrid": invert_hybrid_scale, "translator": invert_translator,
-              "niu": lambda niu: invert_niu(*niu)}[kind]
+    _, fam = _load_family(args)
     inv = invert(fam)  # raises CertificationFailed unless inv o f = id
     poly = print_poly(interpolate(fam.ctx, list(inv.images)))
     return 0, {"table": list(inv.images), "poly": poly, "certified": True}
@@ -120,6 +112,8 @@ def _cmd_invert(args) -> tuple:
 
 def _cmd_involution(args) -> tuple:
     kind, fam = _load_family(args)
+    # built at call time, so it picks up the module's current bindings
+    # (which tracing tools may have replaced)
     checks = {"mul": check_mul_involution, "add": check_add_involution,
               "hybrid": check_hybrid_involution,
               "translator": check_translator_involution}

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BadK, CertificationFailed, ConditionFail, GammaZero,
+from .errors import (BadK, CertificationFailed, ConditionFail,
                      NotInSubfield, OddChar, OddN, TraceNonzero)
 from .agw_inverse import (AddFamily, HybridScaleFamily, MulFamily,
                           TranslatorFamily, _check_translator, _values_in,
@@ -94,7 +94,7 @@ def check_add_involution(fam: AddFamily) -> CriterionReport:
         raise ConditionFail("criterion requires lambda = lambda_bar")
     if fam.S != fam.S_bar:
         raise ConditionFail("criterion requires S = S_bar")
-    g_inv = _small_inverse(enumerate(g), "g on F")
+    g_inv = _small_inverse(g, fam.g_label)
     aux_failures = (x for x in ctx.elements()
                     if g_inv[ctx.sub(x, g0[g[lam[x]]])]
                     != ctx.add(g[x], g0[lam[x]]))
@@ -118,8 +118,6 @@ def check_translator_involution(fam: TranslatorFamily) -> CriterionReport:
     b G(y) + b G(y + b G(y)) = 0 on S, and additionally b != 0, or q is
     even, or (q odd, b = 0 and G vanishes on S)."""
     ctx, b, G, g = fam.ctx, fam.b, fam.G_on_S, fam.g_map
-    if fam.gamma == 0:
-        raise GammaZero("gamma must be nonzero")
     g_failures = (y for y in fam.S
                   if ctx.add(ctx.mul(b, G[y]), ctx.mul(b, G[g[y]])) != 0)
     aux_failures = (() if b != 0 or ctx.p == 2

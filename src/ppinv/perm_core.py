@@ -76,17 +76,17 @@ def as_permutation(ctx: FieldCtx, mapping: MapLike) -> PermTable:
     """Build a PermTable, rejecting non-bijections with the first collision
     in index order as witness."""
     images = _materialize(ctx, mapping)
-    _small_inverse(enumerate(images), "map", NotBijective)
+    _small_inverse(images, "map", NotBijective)
     return PermTable(ctx, tuple(images))
 
 
-def _small_inverse(pairs: Iterable, label: str,
+def _small_inverse(g: Union[Mapping, Sequence[int]], label: str,
                    error: type = NotPermutation) -> dict:
-    """Brute-force inverse of a map given as (x, image) pairs; raises
-    ``error`` at the first collision.  Callers pass the pairs in ascending
-    x, so the witness is the first collision in x."""
+    """Brute-force inverse of a map given as a dict or as a table indexed by
+    element; raises ``error`` at the first collision.  Callers hold their
+    dicts in ascending key order, so the witness is the first collision."""
     inv: dict = {}
-    for k, v in pairs:
+    for k, v in (g.items() if isinstance(g, Mapping) else enumerate(g)):
         if v in inv:
             raise error(
                 f"{label} is not a bijection: {inv[v]} and {k} both map to {v}",

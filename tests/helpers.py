@@ -38,8 +38,8 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from ppinv import (NiuFamily, PermTable, add_family, agw_diagram,
-                   build_field, hybrid_family, make_poly, mul_family,
+from ppinv import (PermTable, add_family, agw_diagram, build_field,
+                   hybrid_family, make_poly, mul_family, niu_family,
                    p_power_degree, subfield_elements, translator_family)
 from ppinv.errors import CtxMismatch, LengthMismatch, PPInvError
 from ppinv.poly_expr import (constant, poly_add, poly_mul, reduce_mod_field,
@@ -455,7 +455,7 @@ def translator_instances(ctx, rng, want, require_invertible=True):
 
 
 def niu_instances(ctx, rng, want):
-    """Parameters of f(x) = g(x^{q0^i} - x + delta) + c*x over every
+    """Records of f(x) = g(x^{q0^i} - x + delta) + c*x over every
     subfield base q0 = p^e with e < n, c drawn from GF(q0^gcd(i, m))^*;
     whether f permutes the field is left to the draw (none for n = 1)."""
     bases = [e for e in divisors(ctx.n) if e < ctx.n]
@@ -466,7 +466,7 @@ def niu_instances(ctx, rng, want):
         i = rng.randrange(1, m)
         c = rng.choice(subfield_elements(ctx, e * math.gcd(i, m))[1:])
         g = random_poly(ctx, rng, 3)
-        out.append(NiuFamily(ctx, ctx.p ** e, g, i, c, rng.randrange(ctx.q)))
+        out.append(niu_family(ctx, ctx.p ** e, g, i, c, rng.randrange(ctx.q)))
     return out
 
 

@@ -14,7 +14,7 @@ from ppinv import (GenericDiagram, PermTable, PhiMap, add_family,
                    agw_diagram, as_permutation, brute_inverse, build_field,
                    build_phi_add, build_phi_mul, closed_form_mul, eval_poly,
                    family_from_descriptor, generic_inverse, hybrid_family,
-                   invert_additive, invert_hybrid_scale,
+                   invert, invert_additive, invert_hybrid_scale,
                    invert_multiplicative, invert_niu, invert_translator,
                    invert_translator_linear, linearized, linearized_inverse,
                    linearized_tabulate, make_kuozhan, make_poly,
@@ -29,9 +29,10 @@ from ppinv.errors import (BPlusOneZero, CertificationFailed, ConditionFail,
 
 from ppinv.agw_inverse import _span_basis
 
-from helpers import (add_instances, divisors, field_of, hybrid_instances,
-                     identity_table, is_inverse_pair, linearized_table,
-                     mul_instances, prime_powers, random_poly,
+from helpers import (ACCEPTANCE_FIELDS, add_instances, divisors, field_of,
+                     hybrid_instances, identity_table, is_inverse_pair,
+                     linearized_table, mul_instances, niu_instances,
+                     prime_powers, random_poly,
                      reference_additive, reference_translator, rel_trace,
                      translator_instances, trace_kernel, trace_table)
 
@@ -614,7 +615,7 @@ def _mul_wiring(fam):
                  inverse=lambda y, z: ctx.mul(ctx.pow(y, fam.a),
                                               ctx.pow(z, fam.b)))
     pair_to_x = {(phi.first[x], phi.second[x]): x for x in ctx.elements()}
-    g_inv = dict(fam.g_inv)
+    g_inv = {v: z for z, v in fam.g_map.items()}
     g_inv[0] = 0
 
     def M(alpha, beta):
@@ -785,6 +786,47 @@ class TestSmallSetInverseOnce:
         assert len(labels) == 2
 
 
+class TestOneInvert:
+    """One invert for the records of all five families: the brute-force
+    inverse when f permutes F, otherwise NotPermutation at a collision of
+    the small-set map."""
+
+    GENERATORS = {
+        "mul": mul_instances, "add": add_instances, "niu": niu_instances,
+        "hybrid": lambda ctx, rng, want: hybrid_instances(
+            ctx, rng, want, require_invertible=False),
+        "translator": lambda ctx, rng, want: translator_instances(
+            ctx, rng, want, require_invertible=False)}
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_inverse_or_small_set_collision(self, kind):
+        rng = random.Random(f"one-invert-{kind}")
+        outcomes = set()
+        for q in ACCEPTANCE_FIELDS:
+            for fam in self.GENERATORS[kind](field_of(q), rng, 6):
+                assert isinstance(fam.g_label, str)
+                if sorted(fam.f_table) == list(range(q)):
+                    oracle = brute_inverse(PermTable(fam.ctx, fam.f_table))
+                    assert invert(fam).images == oracle.images
+                    outcomes.add("inverse")
+                    continue
+                with pytest.raises(NotPermutation) as info:
+                    invert(fam)
+                a, b = info.value.witness
+                assert a != b and fam.g_map[a] == fam.g_map[b]
+                assert fam.g_label in str(info.value)
+                outcomes.add("collision")
+        assert "inverse" in outcomes
+        if kind in ("hybrid", "translator", "niu"):
+            assert "collision" in outcomes
+
+    @pytest.mark.parametrize("alias", [invert_multiplicative, invert_additive,
+                                       invert_hybrid_scale,
+                                       invert_translator])
+    def test_family_names_are_aliases(self, alias):
+        assert alias is invert
+
+
 class TestNiu:
     def test_trivial(self):
         ctx = field_of(4)
@@ -929,12 +971,12 @@ class TestDescriptors:
         assert invert_hybrid_scale(fam).images == fam.f_table
 
     def test_niu_descriptor(self):
-        kind, params = family_from_descriptor(
+        kind, fam = family_from_descriptor(
             {"family": "niu", "field": {"p": 3, "n": 2},
              "q": 3, "g": "x", "i": 1, "c": 1, "delta": 0})
         assert kind == "niu"
-        ctx, q0, g_poly, i, c, delta = params
-        inv = invert_niu(ctx, q0, g_poly, i, c, delta)
+        ctx = fam.ctx
+        inv = invert_niu(ctx, fam.q, fam.g, fam.i, fam.c, fam.delta)
         assert inv.images == tuple(ctx.pow(x, 3) for x in ctx.elements())
 
 
@@ -1046,6 +1088,8 @@ _CERT_DOCS = {
                "h": "x^2 + 1", "k": "x^2", "lambda": "x^4", "S": [0, 1, 2]},
     "translator": {"family": "translator", "field": {"p": 3, "n": 2},
                    "lambda": "Tr{1}(x)", "gamma": 2, "b": 1, "G": "x"},
+    "niu": {"family": "niu", "field": {"p": 3, "n": 2}, "q": 3, "g": "x",
+            "i": 1, "c": 1, "delta": 0},
 }
 
 
@@ -1059,7 +1103,11 @@ class TestCertification:
         ("hybrid", invert_hybrid_scale),
         ("translator", invert_translator),
         ("translator", invert_translator_linear),
-    ])
+        ("niu", invert),
+    ], ids=["mul-invert_multiplicative", "mul-<lambda>",
+            "add-invert_additive", "hybrid-invert_hybrid_scale",
+            "translator-invert_translator",
+            "translator-invert_translator_linear", "niu-invert"])
     def test_tampered_forward_table_is_caught(self, kind, invert):
         _, fam = family_from_descriptor(_CERT_DOCS[kind])
         assert is_inverse_pair(fam.ctx, fam.f_table, invert(fam))

@@ -205,6 +205,26 @@ class TestErrorsAndExitCodes:
         a, b = rep["witness"]
         assert a != b and fam.g_map[a] == fam.g_map[b]
 
+    def test_involution_of_invalid_niu_exit_1(self, tmp_path, capsys):
+        # c = 5 lies outside GF(3): the record refuses it on loading, as
+        # it does for invert, before any criterion is looked up
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"family": "niu", "field": {"p": 3,
+                                    "n": 2}, "q": 3, "g": "x", "i": 1,
+                                    "c": 5, "delta": 0}))
+        assert cli.run(["involution", "--file", str(path)]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "NotInSubfield" and rep["witness"] == 5
+
+    def test_involution_of_valid_niu_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"family": "niu", "field": {"p": 3,
+                                    "n": 2}, "q": 3, "g": "x", "i": 1,
+                                    "c": 1, "delta": 0}))
+        assert cli.run(["involution", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "no involution criterion" in err
+
     def test_syntax_error_exit_2(self):
         code, out, err = run_cli("check-pp", "--p", "7", "--n", "1",
                                  "--expr", "x^^2")
@@ -446,7 +466,7 @@ class TestErrorsAndExitCodes:
     def test_certification_failure_exit_3(self, monkeypatch, capsys):
         def forged(fam):
             raise CertificationFailed("inverse misses 4", witness=4)
-        monkeypatch.setattr(cli, "invert_multiplicative", forged)
+        monkeypatch.setattr(cli, "invert", forged)
         assert cli.run(["invert", "--family", "mul", "--p", "7", "--r", "1",
                         "--s", "3", "--h", "3"]) == 3
         out, err = capsys.readouterr()
@@ -480,13 +500,13 @@ class TestDispatch:
                 return real(fam)
             monkeypatch.setattr(cli, name, wrapper)
 
-        spy("invert_multiplicative")
+        spy("invert")
         spy("check_mul_involution")
         assert cli.run(["invert", "--family", "mul", "--p", "7", "--r", "1",
                         "--s", "3", "--h", "3"]) == 0
         assert cli.run(["involution", "--family", "mul", "--file",
                         str(GOLDEN / "kuozhan_q4.json")]) == 0
-        assert calls == ["invert_multiplicative", "check_mul_involution"]
+        assert calls == ["invert", "check_mul_involution"]
         assert capsys.readouterr().out.splitlines() == [
             (GOLDEN / "invert_mul_f7.json").read_text().strip(),
             (GOLDEN / "involution_kuozhan_q4.json").read_text().strip()]
